@@ -28,7 +28,10 @@ let () =
         Int64.to_int (Int64.logand (Prng.next_int64 rng) (Int64.of_int max_int))
       in
       let n_batches = max 8 (min 256 ((1 lsl (min n_in 14)) / 62)) in
-      let patterns = List.init n_batches (fun _ -> Array.init n_in (fun _ -> word ())) in
+      let patterns =
+        Fault_engine.Batch.Batches
+          (List.init n_batches (fun _ -> Array.init n_in (fun _ -> word ())))
+      in
       let m f = (Bench_stat.measure ~warmup:2 ~repeat:9 f).Bench_stat.median_ns in
       (* cutover 1: always dispatch to the pool when one is supplied —
          this harness IS the measurement that knob is derived from *)

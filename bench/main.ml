@@ -584,6 +584,7 @@ let bench_fault_engine () =
     Ppet_netlist.Gate.bits_per_word * List.length patterns
   in
   let engine = Fault_engine.create sim seg in
+  let batches = Fault_engine.Batch.Batches patterns in
   Printf.printf
     "segment: %d members, iota-signals %d; %d collapsed faults x %d patterns\n"
     (Array.length seg.Segment.members)
@@ -621,11 +622,15 @@ let bench_fault_engine () =
   in
   let cone =
     med ~jobs:1 "fault_sim/cone" (fun () ->
-        ignore (Fault_engine.Batch.run engine (policy ~words:1 ()) ~patterns faults))
+        ignore
+          (Fault_engine.Batch.run engine (policy ~words:1 ()) ~patterns:batches
+             faults))
   in
   let multi =
     med ~jobs:1 "fault_sim/multiword" (fun () ->
-        ignore (Fault_engine.Batch.run engine (policy ~words:8 ()) ~patterns faults))
+        ignore
+          (Fault_engine.Batch.run engine (policy ~words:8 ()) ~patterns:batches
+             faults))
   in
   let par, par_multi =
     Domain_pool.with_pool ~jobs:4 (fun pool ->
@@ -633,12 +638,12 @@ let bench_fault_engine () =
               ignore
                 (Fault_engine.Batch.run engine
                    (policy ~pool ~words:1 ())
-                   ~patterns faults)),
+                   ~patterns:batches faults)),
           med ~jobs:4 "fault_sim/multiword" (fun () ->
               ignore
                 (Fault_engine.Batch.run engine
                    (policy ~pool ~words:8 ())
-                   ~patterns faults)) ))
+                   ~patterns:batches faults)) ))
   in
   let per_fp (e : Report.bench_entry) =
     e.Report.median_ns

@@ -36,7 +36,9 @@ let () =
   let word () =
     Int64.to_int (Int64.logand (Prng.next_int64 rng) (Int64.of_int max_int))
   in
-  let patterns = List.init 64 (fun _ -> Array.init n_in (fun _ -> word ())) in
+  let patterns =
+    Batch.Batches (List.init 64 (fun _ -> Array.init n_in (fun _ -> word ())))
+  in
   let engine = Fault_engine.create sim seg in
   Printf.printf "segment: %d members, %d inputs, %d observed, %d faults\n"
     (Array.length seg.Segment.members)

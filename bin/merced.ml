@@ -363,8 +363,9 @@ let selftest_cmd =
      segment and print the PPET schedule."
   in
   let max_width =
-    Arg.(value & opt int 14 & info [ "max-width" ] ~docv:"W"
-           ~doc:"Skip exhaustive simulation of segments wider than this.")
+    Arg.(value & opt int Campaign.default_plan.Campaign.max_width
+         & info [ "max-width" ] ~docv:"W"
+             ~doc:"Skip exhaustive simulation of segments wider than this.")
   in
   Cmd.v (Cmd.info "selftest" ~doc ~exits)
     Term.(const selftest_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
@@ -1477,8 +1478,9 @@ let submit_cmd =
            ~doc:"lint: comma-separated rule ids (default: all).")
   in
   let max_width =
-    Arg.(value & opt int 14 & info [ "max-width" ] ~docv:"W"
-           ~doc:"selftest: skip exhaustive simulation of wider segments.")
+    Arg.(value & opt int Campaign.default_plan.Campaign.max_width
+         & info [ "max-width" ] ~docv:"W"
+             ~doc:"selftest: skip exhaustive simulation of wider segments.")
   in
   let benchmarks =
     Arg.(value

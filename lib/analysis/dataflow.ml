@@ -198,16 +198,18 @@ let solve ?pool t ~direction ~init ~transfer ~equal =
   let run_comp inq queue gen c =
     let lo = t.comp_off.(c) and hi = t.comp_off.(c + 1) in
     let cap = Array.length queue in
-    let head = ref 0 and count = ref 0 in
     for i = lo to hi - 1 do
       let v = t.comp_vertex.(i) in
-      queue.((!head + !count) mod cap) <- v;
-      incr count;
+      queue.(i - lo) <- v;
       inq.(v) <- gen
     done;
+    (* a ring of at most [cap] queued vertices; the ends wrap by a
+       compare rather than a [mod] on every push and pop *)
+    let head = ref 0 and count = ref (hi - lo) in
+    let tail = ref (if hi - lo = cap then 0 else hi - lo) in
     while !count > 0 do
-      let v = queue.(!head mod cap) in
-      incr head;
+      let v = queue.(!head) in
+      head := if !head + 1 = cap then 0 else !head + 1;
       decr count;
       inq.(v) <- gen - 1;
       let nv = transfer get v in
@@ -216,7 +218,8 @@ let solve ?pool t ~direction ~init ~transfer ~equal =
         for j = dep_off.(v) to dep_off.(v + 1) - 1 do
           let w = dep.(j) in
           if t.comp.(w) = c && inq.(w) <> gen then begin
-            queue.((!head + !count) mod cap) <- w;
+            queue.(!tail) <- w;
+            tail := if !tail + 1 = cap then 0 else !tail + 1;
             incr count;
             inq.(w) <- gen
           end

@@ -102,9 +102,9 @@ let eval_node ~kind ~arity ~value ~root ~parity =
             for j = i + 1 to arity - 1 do
               if
                 (not !pair)
-                && value j = unknown
                 && same_root i j
                 && parity i <> parity j
+                && value j = unknown
               then pair := true
             done
         done;
@@ -129,8 +129,8 @@ let eval_node ~kind ~arity ~value ~root ~parity =
           if
             !partner < 0
             && (not used.(j))
-            && value j = unknown
             && same_root i j
+            && value j = unknown
           then partner := j
         done;
         match !partner with
@@ -143,13 +143,22 @@ let eval_node ~kind ~arity ~value ~root ~parity =
     done;
     if !open_term then unknown else !acc
 
+(* Every pin reads its canonical signal: the root's value through the
+   chain parity. Read pin by pin, a gate can see x already settled to 1
+   while the inverter chain to its other pin still says Unknown, so
+   AND(x, NOT x) falls back from 0 to Unknown — a non-monotone step
+   that a flip-flop loop can repeat forever. Through the root both pins
+   move together and each vertex changes at most once. *)
 let eval c (r : roots) get v =
   let nd = Circuit.node c v in
   let fi = nd.Circuit.fanins in
+  let root i = r.root.(fi.(i)) and parity i = r.parity.(fi.(i)) in
   eval_node ~kind:nd.Circuit.kind ~arity:(Array.length fi)
-    ~value:(fun i -> get fi.(i))
-    ~root:(fun i -> r.root.(fi.(i)))
-    ~parity:(fun i -> r.parity.(fi.(i)))
+    ~value:(fun i ->
+      let f = fi.(i) in
+      let x = get r.root.(f) in
+      if r.parity.(f) = 1 then negate x else x)
+    ~root ~parity
 
 let constants ?pool sched c =
   let r = roots c in

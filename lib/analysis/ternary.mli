@@ -61,9 +61,12 @@ val eval :
   int ->
   int
 (** [eval c r get v]: one monotone ternary transfer — [v]'s value from
-    the fan-in values [get] returns, with equal/complementary fan-in
-    refinement. Primary inputs are [unknown]; flip-flops pass their
-    data input through. *)
+    its fan-ins, with equal/complementary fan-in refinement. Each
+    fan-in is read through its canonical signal: [get] of its root,
+    negated when the chain parity is odd, so two pins on one root can
+    never disagree mid-solve and every vertex changes at most once.
+    Primary inputs are [unknown]; flip-flops pass their data input
+    through. *)
 
 val constants :
   ?pool:Ppet_parallel.Domain_pool.t ->

@@ -17,7 +17,8 @@ val build :
   dictionary
 (** Simulate the full exhaustive pattern set once per fault, compressing
     the observed responses into a [misr_width]-bit signature. Segment
-    width is capped at 16 like {!Pet.run}. *)
+    width is capped at 16, below {!Pet.run}'s 20: the dictionary
+    simulates one pattern at a time, not 62 per word. *)
 
 val fault_free : dictionary -> int
 (** The good-machine signature. *)

@@ -178,7 +178,7 @@ let root_of (f : Fault.t) =
   | Fault.Input_pin (gid, _) -> gid
 
 (* ------------------------------------------------------------------ *)
-(* pattern construction (shared by every campaign consumer)            *)
+(* pattern construction                                                *)
 
 (* Single pass over the vector list: open a fresh word batch every
    [bits_per_word] vectors (the last one ragged), OR each vector's bits
@@ -203,11 +203,58 @@ let pack_vectors ~width vectors =
     vectors;
   List.rev !rev_batches
 
-let exhaustive_patterns ~width =
-  if width < 0 || width > 24 then
-    invalid_arg "Fault_engine.exhaustive_patterns: width must be in 0..24";
-  let total = 1 lsl width in
-  pack_vectors ~width (List.init total (fun v -> v))
+let max_exhaustive_width = 20
+
+let exhaustive_batches ~width =
+  let bpw = Gate.bits_per_word in
+  ((1 lsl width) + bpw - 1) / bpw
+
+(* The exhaustive sequence in closed form. Word j of input i holds
+   vectors [bpw*j, bpw*j + bpw), and input i of vector v is bit i of v,
+   a square wave of period 2^(i+1). Below [table_inputs] (six inputs at
+   62 bits) the half period is shorter than a word, so the wave can
+   flip more than once inside one; but the word depends only on its
+   starting phase (bpw*j) mod 2^(i+1), and row i of [phase_table] holds
+   all 2^(i+1) phases — 126 entries in all. From [table_inputs] on the
+   half period is at least a word long, so the wave flips at most once
+   inside one. *)
+let table_inputs =
+  let rec first i =
+    if 1 lsl i >= Gate.bits_per_word then i else first (i + 1)
+  in
+  first 0
+
+let phase_table =
+  let tbl = Array.make ((2 lsl table_inputs) - 2) 0 in
+  for i = 0 to table_inputs - 1 do
+    let period = 2 lsl i in
+    for r = 0 to period - 1 do
+      let w = ref 0 in
+      for b = 0 to Gate.bits_per_word - 1 do
+        if ((r + b) lsr i) land 1 = 1 then w := !w lor (1 lsl b)
+      done;
+      tbl.(period - 2 + r) <- !w
+    done
+  done;
+  tbl
+
+let exhaustive_word ~width ~batch i =
+  let bpw = Gate.bits_per_word in
+  let v0 = bpw * batch in
+  let w =
+    if i < table_inputs then
+      let period = 2 lsl i in
+      Array.unsafe_get phase_table (period - 2 + (v0 land (period - 1)))
+    else begin
+      (* [k]: offset of the next flip from the word's first vector *)
+      let k = (((v0 lsr i) + 1) lsl i) - v0 in
+      let low = if k >= bpw then word_mask else (1 lsl k) - 1 in
+      if (v0 lsr i) land 1 = 0 then word_mask land lnot low else low
+    end
+  in
+  (* the last batch is ragged: bits past vector 2^width - 1 stay 0 *)
+  let left = (1 lsl width) - v0 in
+  if left >= bpw then w else w land ((1 lsl left) - 1)
 
 let lfsr_patterns ~width ~count =
   if width < 1 || width > 32 then
@@ -218,6 +265,16 @@ let lfsr_patterns ~width ~count =
     :: List.filteri (fun i _ -> i < count - 1) (Lfsr.sequence l (max 0 (count - 1)))
   in
   pack_vectors ~width vectors
+
+(* The pattern source as the kernels read it: the exhaustive sequence
+   of a width, or explicit batches. Either way a kernel fetches only
+   the words of the batches it is about to simulate. *)
+type source = Closed of int | Given of int array array
+
+let[@inline] source_word src ~batch i =
+  match src with
+  | Closed width -> exhaustive_word ~width ~batch i
+  | Given pats -> Array.unsafe_get (Array.unsafe_get pats batch) i
 
 let coverage results =
   match results with
@@ -250,8 +307,10 @@ let make_scratch t =
     evals = 0;
   }
 
-let eval_good t s batch =
-  Array.iteri (fun i sig_id -> s.good.(sig_id) <- batch.(i)) t.inputs;
+let eval_good t s src ~batch =
+  for i = 0 to t.width - 1 do
+    s.good.(t.inputs.(i)) <- source_word src ~batch i
+  done;
   let order = t.seg_order in
   for k = 0 to Array.length order - 1 do
     let id = order.(k) in
@@ -385,14 +444,14 @@ let make_mscratch t w =
 let[@inline] bget (a : words) i = Bigarray.Array1.unsafe_get a i
 let[@inline] bset (a : words) i (v : int) = Bigarray.Array1.unsafe_set a i v
 
-(* Good simulation of one word group: batches [g0 .. g0+gn-1] of [pats],
-   gn <= w (the final group is ragged). *)
-let eval_good_multi t ms ~w ~gn ~pats ~g0 =
+(* Good simulation of one word group: batches [g0 .. g0+gn-1] of
+   [src], gn <= w (the final group is ragged). *)
+let eval_good_multi t ms ~w ~gn src ~g0 =
   let mg = ms.mgood in
   for i = 0 to t.width - 1 do
     let base = i * w in
     for j = 0 to gn - 1 do
-      bset mg (base + j) (Array.unsafe_get (Array.unsafe_get pats (g0 + j)) i)
+      bset mg (base + j) (source_word src ~batch:(g0 + j) i)
     done
   done;
   let n_pos = Array.length t.seg_order in
@@ -722,6 +781,8 @@ let sim_fault_multi t ms ~w ~gn ~fcone (f : Fault.t) =
 module Batch = struct
   type drop = Keep | Drop
 
+  type patterns = Exhaustive | Batches of int array list
+
   type policy = {
     words : int;
     pool : Domain_pool.t option;
@@ -758,36 +819,32 @@ module Batch = struct
           worker wid lo hi)
     | _ -> worker 0 0 nf
 
-  let run_single pol t patterns fs verdict evals =
+  let run_single pol t src nb fs verdict evals =
     let worker wid lo hi =
       if lo < hi then begin
         let s = make_scratch t in
         let undetected = ref (hi - lo) in
-        (try
-           List.iter
-             (fun batch ->
-               if pol.drop = Drop && !undetected = 0 then raise Exit;
-               eval_good t s batch;
-               for i = lo to hi - 1 do
-                 match pol.drop with
-                 | Drop ->
-                   if (not verdict.(i)) && sim_fault t s fs.(i) then begin
-                     verdict.(i) <- true;
-                     decr undetected
-                   end
-                 | Keep ->
-                   if sim_fault t s fs.(i) then verdict.(i) <- true
-               done)
-             patterns
-         with Exit -> ());
+        let batch = ref 0 in
+        while !batch < nb && not (pol.drop = Drop && !undetected = 0) do
+          eval_good t s src ~batch:!batch;
+          for i = lo to hi - 1 do
+            match pol.drop with
+            | Drop ->
+              if (not verdict.(i)) && sim_fault t s fs.(i) then begin
+                verdict.(i) <- true;
+                decr undetected
+              end
+            | Keep -> if sim_fault t s fs.(i) then verdict.(i) <- true
+          done;
+          incr batch
+        done;
         evals.(wid) <- evals.(wid) + s.evals
       end
     in
     dispatch pol t (Array.length fs) worker
 
-  let run_multi pol t pats fs verdict evals =
+  let run_multi pol t src nb fs verdict evals =
     let w = pol.words in
-    let nb = Array.length pats in
     (* cones resolved once, outside the group x fault loops (the cache
        is already populated, so this is pure array plumbing) *)
     let fcones = Array.map (fun f -> cone t (root_of f)) fs in
@@ -801,7 +858,7 @@ module Batch = struct
         let g0 = ref 0 in
         while !g0 < nb && !nact > 0 do
           let gn = min w (nb - !g0) in
-          eval_good_multi t ms ~w ~gn ~pats ~g0:!g0;
+          eval_good_multi t ms ~w ~gn src ~g0:!g0;
           let keep = ref 0 in
           for i = 0 to !nact - 1 do
             let fi = active.(i) in
@@ -825,11 +882,22 @@ module Batch = struct
       invalid_arg "Fault_engine.Batch.run: words must be >= 1";
     if pol.cutover < 1 then
       invalid_arg "Fault_engine.Batch.run: cutover must be >= 1";
-    List.iter
-      (fun batch ->
-        if Array.length batch <> t.width then
-          invalid_arg "Fault_engine.Batch.run: batch arity mismatch")
-      patterns;
+    let src, nb =
+      match patterns with
+      | Exhaustive ->
+        if t.width > max_exhaustive_width then
+          invalid_arg
+            "Fault_engine.Batch.run: exhaustive width must be at most 20";
+        (Closed t.width, exhaustive_batches ~width:t.width)
+      | Batches l ->
+        let pats = Array.of_list l in
+        Array.iter
+          (fun batch ->
+            if Array.length batch <> t.width then
+              invalid_arg "Fault_engine.Batch.run: batch arity mismatch")
+          pats;
+        (Given pats, Array.length pats)
+    in
     let fs = Array.of_list faults in
     let nf = Array.length fs in
     (* populate the shared cone cache before going parallel *)
@@ -839,8 +907,8 @@ module Batch = struct
       match pol.pool with Some p -> Domain_pool.jobs p | None -> 1
     in
     let evals = Array.make (max jobs 1) 0 in
-    if pol.words = 1 then run_single pol t patterns fs verdict evals
-    else run_multi pol t (Array.of_list patterns) fs verdict evals;
+    if pol.words = 1 then run_single pol t src nb fs verdict evals
+    else run_multi pol t src nb fs verdict evals;
     let n_detected = ref 0 in
     for i = 0 to nf - 1 do
       if verdict.(i) then incr n_detected
@@ -852,7 +920,7 @@ module Batch = struct
       coverage =
         (if nf = 0 then 1.0
          else float_of_int !n_detected /. float_of_int nf);
-      batches = List.length patterns;
+      batches = nb;
       word_evals = Array.fold_left ( + ) 0 evals;
     }
 
@@ -864,9 +932,8 @@ module Batch = struct
     else
       Obs.span "fault_engine.batch" (fun () ->
           Obs.add Obs.Metric.Faults_simulated (List.length faults);
-          Obs.add Obs.Metric.Fault_patterns
-            (Gate.bits_per_word * List.length patterns);
           let o = run_impl t pol ~patterns faults in
+          Obs.add Obs.Metric.Fault_patterns (Gate.bits_per_word * o.batches);
           Obs.add Obs.Metric.Fault_word_evals o.word_evals;
           o)
 

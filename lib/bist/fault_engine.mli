@@ -48,24 +48,47 @@ val create : Simulator.t -> Ppet_netlist.Segment.t -> t
 
 (** {2 Pattern construction}
 
-    Helpers shared by every campaign consumer (formerly in
-    [Fault_sim]). *)
+    A pattern {e batch} assigns one word per segment input signal (order
+    of [Segment.input_signals]); bit b of every word belongs to the same
+    input vector, [Gate.bits_per_word] vectors per batch.
+
+    The exhaustive sequence — vector v sets input i to bit i of v, for
+    v = 0 .. 2^width - 1 — is never materialised: like the CBIT that
+    produces it in hardware, the engine derives any word of it from the
+    width alone ({!exhaustive_word}), so {!Batch.Exhaustive} costs no
+    memory of size 2^width and no work past the word groups the
+    simulation actually reaches. Input i is a square wave of period
+    2^(i+1). For inputs 0–5 the half period is shorter than a 62-bit
+    word, so the wave may flip inside a word more than once; the word
+    is then fixed by the phase at which it starts, and a 126-entry
+    table holds every phase of the six inputs. From input 6 on the
+    half period (64 vectors or more) exceeds a word, so a word is all
+    zeros, all ones, or one split mask. *)
 
 val pack_vectors : width:int -> int list -> int array list
 (** Pack bit vectors (input i = bit i of each vector) into word batches
     of [Gate.bits_per_word] vectors each, the final batch ragged. One
-    pass over the list; the packing {!exhaustive_patterns} and
-    {!lfsr_patterns} are built from. *)
+    pass over the list; {!lfsr_patterns} is built from it. *)
 
-val exhaustive_patterns : width:int -> int array list
-(** All [2^width] input vectors, packed into word batches: batch j gives,
-    for input bit i, the word whose bit b is the value of input i in
-    vector [j * bits_per_word + b]. Width must be at most 24. *)
+val max_exhaustive_width : int
+(** 20: the widest segment an exhaustive run accepts (2^20 vectors,
+    16 913 batches). {!Pet.run} and the campaign share this bound. *)
+
+val exhaustive_batches : width:int -> int
+(** Number of batches of the exhaustive sequence: [2^width] vectors
+    rounded up to whole words ([1] at width 0). *)
+
+val exhaustive_word : width:int -> batch:int -> int -> int
+(** [exhaustive_word ~width ~batch i]: the word of input [i] in batch
+    [batch] of the exhaustive sequence — bit b is bit i of vector
+    [batch * bits_per_word + b], and bits past the last vector of the
+    ragged final batch are 0. Constant time; [batch] must be below
+    {!exhaustive_batches} and [i] below [width]. *)
 
 val lfsr_patterns : width:int -> count:int -> int array list
 (** The first [count] patterns of the standard CBIT LFSR of that width
     (plus the all-zero vector first, which the autonomous LFSR cannot
-    produce), packed like {!exhaustive_patterns}. *)
+    produce), packed by {!pack_vectors}. *)
 
 val coverage : (Fault.t * bool) list -> float
 (** Detected fraction, in [0, 1]; 1.0 for an empty list. *)
@@ -73,6 +96,16 @@ val coverage : (Fault.t * bool) list -> float
 (** {2 The batch interface} *)
 
 module Batch : sig
+  type patterns =
+    | Exhaustive
+        (** all [2^width] vectors of the engine's segment, in counting
+            order, each word computed when a kernel is about to simulate
+            it (see {!exhaustive_word}). The segment may have at most
+            {!max_exhaustive_width} inputs. *)
+    | Batches of int array list
+        (** explicit batches, for callers that carry real data: LFSR
+            sequences, random probe and bench workloads, tests *)
+
   type drop =
     | Keep  (** simulate every fault against every word group — the
                 reference semantics, and the right mode for fixed-work
@@ -116,7 +149,9 @@ module Batch : sig
     n_faults : int;
     n_detected : int;
     coverage : float;  (** detected fraction; 1.0 when no faults *)
-    batches : int;     (** pattern word batches offered *)
+    batches : int;
+        (** pattern word batches offered (simulated or not: dropping
+            may stop early) *)
     word_evals : int;
         (** gate-word evaluations actually performed (good re-simulation
             plus event-driven faulty evaluations, summed over workers) —
@@ -124,19 +159,20 @@ module Batch : sig
             here *)
   }
 
-  val run : t -> policy -> patterns:int array list -> Fault.t list -> outcome
-  (** Simulate the faults against the batches (each batch assigns one
-      word per segment input signal, order of [Segment.input_signals]).
-      Verdicts are bit-identical across every policy: word width, job
-      count, and dropping only change the wall clock. Raises
-      [Invalid_argument] on a batch arity mismatch or a non-positive
+  val run : t -> policy -> patterns:patterns -> Fault.t list -> outcome
+  (** Simulate the faults against the pattern source. Verdicts are
+      bit-identical across every policy: word width, job count, and
+      dropping only change the wall clock; and [Exhaustive] gives the
+      verdicts of the same vectors passed as [Batches]. Raises
+      [Invalid_argument] on a batch arity mismatch, an [Exhaustive]
+      segment wider than {!max_exhaustive_width}, or a non-positive
       [words]/[cutover]. *)
 
   val run_segment :
     policy ->
     Simulator.t ->
     Ppet_netlist.Segment.t ->
-    patterns:int array list ->
+    patterns:patterns ->
     Fault.t list ->
     outcome
   (** One-shot convenience: {!create} + {!run}. Prefer building the

@@ -44,13 +44,15 @@ let run ?collapse ?policy sim seg =
     match policy with Some p -> p | None -> default_policy ()
   in
   let width = Segment.input_count seg in
-  if width > 20 then
+  if width > Fault_engine.max_exhaustive_width then
     invalid_arg
       "Pet.run: segment has more than 20 inputs; partition it first (that \
        is what PPET is for)";
   let faults = fault_list ?collapse sim seg in
-  let patterns = Fault_engine.exhaustive_patterns ~width in
-  let o = Fault_engine.Batch.run_segment policy sim seg ~patterns faults in
+  let o =
+    Fault_engine.Batch.run_segment policy sim seg
+      ~patterns:Fault_engine.Batch.Exhaustive faults
+  in
   summarise ~width ~patterns_applied:(1 lsl width) o.Fault_engine.Batch.results
 
 let run_with_lfsr ?(extra_cycles = 0) ?policy sim seg =
@@ -58,11 +60,14 @@ let run_with_lfsr ?(extra_cycles = 0) ?policy sim seg =
     match policy with Some p -> p | None -> default_policy ()
   in
   let width = Segment.input_count seg in
-  if width > 20 then invalid_arg "Pet.run_with_lfsr: more than 20 inputs";
+  if width > Fault_engine.max_exhaustive_width then
+    invalid_arg "Pet.run_with_lfsr: more than 20 inputs";
   if width < 1 then invalid_arg "Pet.run_with_lfsr: segment has no inputs";
   let faults = fault_list sim seg in
   let count = (1 lsl width) + extra_cycles in
-  let patterns = Fault_engine.lfsr_patterns ~width ~count in
+  let patterns =
+    Fault_engine.Batch.Batches (Fault_engine.lfsr_patterns ~width ~count)
+  in
   let o = Fault_engine.Batch.run_segment policy sim seg ~patterns faults in
   summarise ~width ~patterns_applied:count o.Fault_engine.Batch.results
 

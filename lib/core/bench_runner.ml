@@ -41,7 +41,8 @@ let fault_workload c sim =
       Int64.to_int (Int64.logand (Prng.next_int64 rng) (Int64.of_int max_int))
     in
     let patterns =
-      List.init 8 (fun _ -> Array.init n_in (fun _ -> word ()))
+      Fault_engine.Batch.Batches
+        (List.init 8 (fun _ -> Array.init n_in (fun _ -> word ())))
     in
     Some (Fault_engine.create sim seg, patterns, faults)
   end

@@ -34,7 +34,8 @@ let default_plan =
     params = Params.default;
     words = 8;
     drop = true;
-    max_width = 14;
+    (* every segment Merced builds under the default input constraint *)
+    max_width = Params.default.Params.l_k;
     min_coverage = 0.0;
     prune = true;
     probe = None;
@@ -103,8 +104,8 @@ let validate plan =
   if plan.profiles = [] then
     invalid_arg "Campaign.run: profiles must be non-empty";
   if plan.words < 1 then invalid_arg "Campaign.run: words must be >= 1";
-  if plan.max_width < 0 || plan.max_width > 20 then
-    invalid_arg "Campaign.run: max_width must be in 0..20";
+  if plan.max_width < 0 || plan.max_width > Fault_engine.max_exhaustive_width
+  then invalid_arg "Campaign.run: max_width must be in 0..20";
   if plan.min_coverage < 0.0 || plan.min_coverage > 1.0 then
     invalid_arg "Campaign.run: min_coverage must be in 0..1";
   if plan.probe_repeat < 1 then
@@ -185,9 +186,8 @@ let run_circuit ?pool plan name =
             cls.Untestable.testable
         in
         n_faults := !n_faults + List.length faults;
-        let patterns = Fault_engine.exhaustive_patterns ~width:w in
         let engine = Fault_engine.create sim seg in
-        let o = Batch.run engine policy ~patterns simulated in
+        let o = Batch.run engine policy ~patterns:Batch.Exhaustive simulated in
         n_detected := !n_detected + o.Batch.n_detected;
         vectors := !vectors + (1 lsl w);
         word_evals := !word_evals + o.Batch.word_evals;
@@ -221,6 +221,8 @@ let run_circuit ?pool plan name =
     wall_ns = now_ns () -. t0;
   }
 
+let probe_batches = 64
+
 (* The throughput probe: a fixed fault-simulation workload timed once
    with the single-word kernel and once at [plan.words]. The segment is
    the largest Merced cluster of the probe circuit — the campaign's own
@@ -248,8 +250,10 @@ let probe_workload params c sim =
   let word () =
     Int64.to_int (Int64.logand (Prng.next_int64 rng) (Int64.of_int max_int))
   in
-  let patterns = List.init 64 (fun _ -> Array.init n_in (fun _ -> word ())) in
-  (Fault_engine.create sim seg, seg, patterns, faults)
+  let patterns =
+    List.init probe_batches (fun _ -> Array.init n_in (fun _ -> word ()))
+  in
+  (Fault_engine.create sim seg, seg, Batch.Batches patterns, faults)
 
 let run_probe plan name =
   let c = generate name in
@@ -267,7 +271,7 @@ let run_probe plan name =
     probe_circuit = name;
     probe_gates = Array.length seg.Segment.members;
     probe_faults = List.length faults;
-    probe_batches = List.length patterns;
+    probe_batches;
     probe_words = plan.words;
     single_ns;
     multi_ns;

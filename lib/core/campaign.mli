@@ -52,8 +52,10 @@ type plan = {
 
 val default_plan : plan
 (** All seventeen paper profiles, default params, [words = 8], dropping
-    on, [max_width = 14], no coverage gate, pruning on, no probe, no
-    auto-dispatch. *)
+    on, [max_width] = the default [l_k] (16: every segment Merced
+    builds by default is tested), no coverage gate, pruning on, no
+    probe, no auto-dispatch. The selftest and submit [--max-width] and
+    the serve [selftest] op default to the same width. *)
 
 type circuit_report = {
   circuit : string;

@@ -165,7 +165,7 @@ let fault_entries plan name c decision chosen_r =
       Int64.to_int (Int64.logand (Prng.next_int64 rng) (Int64.of_int max_int))
     in
     let patterns =
-      List.init 16 (fun _ -> Array.init n_in (fun _ -> word ()))
+      Batch.Batches (List.init 16 (fun _ -> Array.init n_in (fun _ -> word ())))
     in
     let run_config ?pool ~words ~cutover () =
       let policy =

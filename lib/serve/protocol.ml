@@ -155,7 +155,10 @@ let job_of_json op j =
          })
   | "selftest" ->
     let* source = source_of_json j in
-    let max_width = Option.value ~default:14 (Json.int_member "max_width" j) in
+    let max_width =
+      Option.value ~default:Campaign.default_plan.Campaign.max_width
+        (Json.int_member "max_width" j)
+    in
     Ok (Selftest { source; max_width })
   | "analyze" ->
     let* source = source_of_json j in
@@ -190,7 +193,9 @@ let job_of_json op j =
     let prune = Option.value ~default:d.Campaign.prune (Json.bool_member "prune" j) in
     if profiles = [] then Error "campaign needs a non-empty \"profiles\" list"
     else if words < 1 then Error "\"words\" must be >= 1"
-    else if max_width < 0 || max_width > 20 then
+    else if
+      max_width < 0 || max_width > Ppet_bist.Fault_engine.max_exhaustive_width
+    then
       Error "\"max_width\" must be in 0..20"
     else Ok (Campaign { profiles; words; drop; max_width; min_coverage; prune })
   | "sleep" -> (

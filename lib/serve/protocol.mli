@@ -9,9 +9,10 @@
 
     Request ops and their fields (defaults in parentheses): [compile]
     with [verbose] (false); [lint] with [rules] (all) and [verbose];
-    [selftest] with [max_width] (14); [bench] with [benchmarks] and
-    [repeat]; [campaign] with [profiles] (all seventeen), [words] (8),
-    [drop] (true), [max_width] (14) and [min_coverage] (0 — the probe is
+    [selftest] with [max_width] (16, the default l_k); [bench] with
+    [benchmarks] and [repeat]; [campaign] with [profiles] (all
+    seventeen), [words] (8), [drop] (true), [max_width] (16) and
+    [min_coverage] (0 — the probe is
     a CLI-side measurement and has no wire form); [sleep] with [ms] — a
     diagnostic job that holds a worker, streams a "sleep" stage and
     honours [timeout_ms]; [suite] with [jobs], a list of job objects

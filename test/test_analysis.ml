@@ -9,6 +9,7 @@
 module Circuit = Ppet_netlist.Circuit
 module Segment = Ppet_netlist.Segment
 module Generator = Ppet_netlist.Generator
+module Benchmarks = Ppet_netlist.Benchmarks
 module To_graph = Ppet_netlist.To_graph
 module Gate = Ppet_netlist.Gate
 module Parser = Ppet_netlist.Bench_parser
@@ -177,7 +178,7 @@ let prop_untestable_undetected =
       QCheck.assume (w > 0 && w <= 10);
       let faults = Fault.collapse c (Fault.of_segment c seg) in
       let cls = Untestable.classify (Untestable.ctx c) seg faults in
-      let patterns = Fault_engine.exhaustive_patterns ~width:w in
+      let patterns = Pattern_oracle.exhaustive_patterns ~width:w in
       let sim = Simulator.create c in
       let oracle = Fault_sim.segment_detects sim seg ~patterns faults in
       let detected f = List.assoc f oracle in
@@ -189,6 +190,7 @@ let prop_untestable_undetected =
         List.for_all
           (fun words ->
             let policy = Batch.policy ~words ~drop:Batch.Keep ~cutover:1 () in
+            let patterns = Batch.Exhaustive in
             let all = Batch.run engine policy ~patterns faults in
             let surv =
               Batch.run engine policy ~patterns cls.Untestable.testable
@@ -266,10 +268,83 @@ let prop_constants_sound_combinational =
               stuck_at = constants.(v) = Ternary.one })
           constant_members
       in
-      let patterns = Fault_engine.exhaustive_patterns ~width:w in
+      let patterns = Pattern_oracle.exhaustive_patterns ~width:w in
       let sim = Simulator.create c in
       Fault_sim.segment_detects sim seg ~patterns faults
       |> List.for_all (fun (_, d) -> not d))
+
+(* ------------------------------------------------------------------ *)
+(* the constant solve is monotone                                      *)
+
+exception Changed_twice of int
+
+(* Ternary.constants with a counting wrapper around the transfer: a
+   vertex may climb from Unknown to a constant once and never move
+   again. A second change raises at once, so a non-monotone transfer
+   fails the test instead of spinning in the worklist. Returns the
+   fixpoint, for comparison with Ternary.constants. *)
+let constants_changing_once c =
+  let sched = sched_of c in
+  let r = Ternary.roots c in
+  let last = Array.make (Circuit.size c) Ternary.unknown in
+  let changed = Array.make (Circuit.size c) false in
+  let transfer get v =
+    let x = Ternary.eval c r get v in
+    if x <> last.(v) then begin
+      if changed.(v) then raise (Changed_twice v);
+      changed.(v) <- true;
+      last.(v) <- x
+    end;
+    x
+  in
+  let fix =
+    Dataflow.solve sched ~direction:Dataflow.Forward
+      ~init:(fun _ -> Ternary.unknown)
+      ~transfer ~equal:Int.equal
+  in
+  Alcotest.(check bool) "same fixpoint as Ternary.constants" true
+    (fix = Ternary.constants sched c)
+
+(* the circuits whose solve never returned while the transfer read each
+   pin's own value: three generator seeds of s641, the default
+   s15850.1, and the smallest such loop — g = AND(x, NOT x) settles to 0
+   while both pins are Unknown, the flip-flop carries the 0 round to x,
+   and a g that saw x = 1 before NOT x caught up fell back to Unknown *)
+let test_constants_change_once () =
+  let s641 = (Benchmarks.find "s641").Benchmarks.profile in
+  let loop =
+    Parser.parse_string
+      "INPUT(a)\nOUTPUT(o)\ng = AND(x, nx)\nnx = NOT(x)\nx = NOT(q)\n\
+       q = DFF(g)\no = AND(a, g)\n"
+  in
+  List.iter
+    (fun (name, c) ->
+      try constants_changing_once c
+      with Changed_twice v ->
+        Alcotest.failf "%s: vertex %d changed twice" name v)
+    ([ ("flip-flop loop", loop) ]
+    @ List.map
+        (fun seed ->
+          (Printf.sprintf "s641 seed %Ld" seed, Generator.generate ~seed s641))
+        [ 441610976L; 851735561L; 691587052L ]
+    @ [ ("s15850.1", Benchmarks.circuit "s15850.1") ])
+
+let prop_constants_change_once =
+  QCheck.Test.make ~name:"constants: each vertex changes at most once"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Ppet_digraph.Prng.create (Int64.of_int ((seed * 5) + 3)) in
+      let c =
+        Generator.small_random
+          ~seed:(Int64.of_int ((seed * 11) + 7))
+          ~n_pi:(1 + Ppet_digraph.Prng.int rng 6)
+          ~n_dff:(Ppet_digraph.Prng.int rng 12)
+          ~n_gates:(4 + Ppet_digraph.Prng.int rng 200)
+      in
+      match constants_changing_once c with
+      | () -> true
+      | exception Changed_twice _ -> false)
 
 (* condensation sanity on random circuits: component count, level
    bounds, and the defining property that a vertex's forward level is
@@ -317,4 +392,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parallel_solve_deterministic;
     QCheck_alcotest.to_alcotest prop_constants_sound_combinational;
     QCheck_alcotest.to_alcotest prop_schedule_wellformed;
+    Alcotest.test_case "constants: one change per vertex on paper circuits"
+      `Quick test_constants_change_once;
+    QCheck_alcotest.to_alcotest prop_constants_change_once;
   ]

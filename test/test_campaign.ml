@@ -16,7 +16,7 @@ let test_human_golden_s27 () =
   let expected =
     String.concat "\n"
       [
-        "campaign: 1 circuits, words 8, drop on, max width 14, prune on";
+        "campaign: 1 circuits, words 8, drop on, max width 16, prune on";
         "circuit       gates  dffs  segs  tested   faults  pruned  detected  coverage   aliasing  test-cycles";
         "s27              10     3     1       1       34       0        34   100.00%   7.81e-03           24";
         "total: 34/34 faults detected (0 untestable pruned; coverage 100.00% \

@@ -1,6 +1,7 @@
 (* The batch engine must be bit-identical to the seed serial loop in
    Fault_sim — on any circuit, any pattern set, at every word width,
-   job count, and dropping policy. *)
+   job count, and dropping policy — and its closed-form exhaustive
+   source must be the packed list of all vectors, word for word. *)
 
 module Circuit = Ppet_netlist.Circuit
 module Segment = Ppet_netlist.Segment
@@ -36,7 +37,9 @@ let random_case seed =
   (c, seg, faults, patterns)
 
 (* the full policy matrix against the seed oracle: words 1/4/8, jobs
-   1/2/4, dropping on and off — all must agree verdict for verdict *)
+   1/2/4, dropping on and off — all must agree verdict for verdict, for
+   the random batches and for the exhaustive source (whose oracle input
+   is the packed list of every vector) *)
 let prop_batch_matches_seed =
   QCheck.Test.make ~name:"Batch.run = seed at words 1/4/8 x jobs 1/2/4 x drop"
     ~count:25
@@ -44,9 +47,18 @@ let prop_batch_matches_seed =
     (fun seed ->
       let c, seg, faults, patterns = random_case seed in
       let sim = Simulator.create c in
-      let expected = Fault_sim.segment_detects sim seg ~patterns faults in
       let engine = Fault_engine.create sim seg in
-      let check pool =
+      let width = Array.length (Segment.input_signals seg) in
+      let sources =
+        [
+          (Batch.Batches patterns, patterns);
+          (Batch.Exhaustive, Pattern_oracle.exhaustive_patterns ~width);
+        ]
+      in
+      let check pool (source, oracle_patterns) =
+        let expected =
+          Fault_sim.segment_detects sim seg ~patterns:oracle_patterns faults
+        in
         List.for_all
           (fun words ->
             List.for_all
@@ -54,18 +66,20 @@ let prop_batch_matches_seed =
                 let policy =
                   Batch.policy ~words ?pool ~drop ~cutover:1 ()
                 in
-                let o = Batch.run engine policy ~patterns faults in
+                let o = Batch.run engine policy ~patterns:source faults in
                 o.Batch.results = expected
                 && o.Batch.n_faults = List.length faults
                 && o.Batch.n_detected
                    = List.length (List.filter snd expected)
-                && o.Batch.batches = List.length patterns)
+                && o.Batch.batches = List.length oracle_patterns)
               [ Batch.Keep; Batch.Drop ])
           [ 1; 4; 8 ]
       in
-      check None
+      List.for_all (check None) sources
       && List.for_all
-           (fun jobs -> Domain_pool.with_pool ~jobs (fun p -> check (Some p)))
+           (fun jobs ->
+             Domain_pool.with_pool ~jobs (fun p ->
+                 List.for_all (check (Some p)) sources))
            [ 2; 4 ])
 
 (* dropping can only remove work, never change verdicts *)
@@ -77,7 +91,9 @@ let prop_drop_saves_work =
       let sim = Simulator.create c in
       let engine = Fault_engine.create sim seg in
       let run drop =
-        Batch.run engine (Batch.policy ~words:4 ~drop ()) ~patterns faults
+        Batch.run engine
+          (Batch.policy ~words:4 ~drop ())
+          ~patterns:(Batch.Batches patterns) faults
       in
       let keep = run Batch.Keep and drop = run Batch.Drop in
       keep.Batch.results = drop.Batch.results
@@ -103,11 +119,12 @@ let test_cone_misses_observed () =
       { Fault.site = Fault.Input_pin (d, 0); stuck_at = true };
     ]
   in
-  let patterns = Fault_engine.exhaustive_patterns ~width:2 in
+  let patterns = Pattern_oracle.exhaustive_patterns ~width:2 in
   List.iter
     (fun words ->
       let o =
-        Batch.run_segment (Batch.policy ~words ()) sim seg ~patterns faults
+        Batch.run_segment (Batch.policy ~words ()) sim seg
+          ~patterns:Batch.Exhaustive faults
       in
       List.iter
         (fun (_, det) -> Alcotest.(check bool) "unobservable" false det)
@@ -121,8 +138,10 @@ let test_full_coverage_and_gate () =
   let sim = Simulator.create c in
   let seg = Segment.of_members c (Circuit.combinational c) in
   let faults = Fault.of_segment c seg in
-  let patterns = Fault_engine.exhaustive_patterns ~width:2 in
-  let o = Batch.run_segment (Batch.policy ()) sim seg ~patterns faults in
+  let o =
+    Batch.run_segment (Batch.policy ()) sim seg ~patterns:Batch.Exhaustive
+      faults
+  in
   Alcotest.(check bool) "all detected" true (List.for_all snd o.Batch.results);
   Alcotest.(check (float 1e-9)) "coverage 1" 1.0 o.Batch.coverage
 
@@ -131,7 +150,10 @@ let test_no_patterns_all_undetected () =
   let sim = Simulator.create c in
   let seg = Segment.of_members c (Circuit.combinational c) in
   let faults = Fault.of_segment c seg in
-  let o = Batch.run_segment (Batch.policy ()) sim seg ~patterns:[] faults in
+  let o =
+    Batch.run_segment (Batch.policy ()) sim seg ~patterns:(Batch.Batches [])
+      faults
+  in
   Alcotest.(check bool) "none detected" true
     (List.for_all (fun (_, d) -> not d) o.Batch.results);
   Alcotest.(check int) "no batches" 0 o.Batch.batches;
@@ -155,14 +177,16 @@ let test_batch_arity_guard () =
     (Invalid_argument "Fault_engine.Batch.run: batch arity mismatch")
     (fun () ->
       ignore
-        (Batch.run_segment (Batch.policy ()) sim seg ~patterns:[ [| 1 |] ] []))
+        (Batch.run_segment (Batch.policy ()) sim seg
+           ~patterns:(Batch.Batches [ [| 1 |] ])
+           []))
 
 let test_bad_policy_rejected () =
   let c = Parser.parse_string "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n" in
   let sim = Simulator.create c in
   let seg = Segment.of_members c (Circuit.combinational c) in
   let run policy =
-    ignore (Batch.run_segment policy sim seg ~patterns:[] [])
+    ignore (Batch.run_segment policy sim seg ~patterns:(Batch.Batches []) [])
   in
   Alcotest.check_raises "words"
     (Invalid_argument "Fault_engine.Batch.run: words must be >= 1")
@@ -170,6 +194,73 @@ let test_bad_policy_rejected () =
   Alcotest.check_raises "cutover"
     (Invalid_argument "Fault_engine.Batch.run: cutover must be >= 1")
     (fun () -> run { (Batch.policy ()) with Batch.cutover = 0 })
+
+(* --- the exhaustive source ---------------------------------------- *)
+
+(* the closed form against the packed list of every vector: every width
+   the engine accepts, every batch (the last one ragged), every input *)
+let test_exhaustive_closed_form () =
+  for width = 0 to Fault_engine.max_exhaustive_width do
+    let oracle = Pattern_oracle.exhaustive_patterns ~width in
+    Alcotest.(check int)
+      (Printf.sprintf "width %d: batch count" width)
+      (List.length oracle)
+      (Fault_engine.exhaustive_batches ~width);
+    List.iteri
+      (fun batch words ->
+        Array.iteri
+          (fun i expected ->
+            let got = Fault_engine.exhaustive_word ~width ~batch i in
+            if got <> expected then
+              Alcotest.failf "width %d, batch %d, input %d: %#x, expected %#x"
+                width batch i got expected)
+          words)
+      oracle
+  done
+
+let and_or_circuit n =
+  let xs = List.init n (Printf.sprintf "x%d") in
+  let decl = String.concat "" (List.map (Printf.sprintf "INPUT(%s)\n") xs) in
+  let args = String.concat ", " xs in
+  Parser.parse_string
+    (Printf.sprintf "%sOUTPUT(y)\nOUTPUT(z)\ny = AND(%s)\nz = OR(%s)\n" decl
+       args args)
+
+(* The CI guard against rebuilding pattern lists: a 20-input AND keeps
+   its output stuck-at-0 fault alive until the very last vector, so even
+   under Drop the run walks all 16 913 batches. Computed word by word,
+   that costs a few thousand minor words (faults, verdicts, scratch);
+   2^20 listed vectors would cost millions. Minor-word counts repeat
+   exactly on the serial path, so the bound is not a timing check. *)
+let test_exhaustive_allocation () =
+  let c = and_or_circuit 20 in
+  let sim = Simulator.create c in
+  let seg = Segment.of_members c (Circuit.combinational c) in
+  let engine = Fault_engine.create sim seg in
+  let faults = Fault.of_segment c seg in
+  let before = Gc.minor_words () in
+  let o =
+    Batch.run engine (Batch.policy ()) ~patterns:Batch.Exhaustive faults
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all batches offered"
+    (Fault_engine.exhaustive_batches ~width:20) o.Batch.batches;
+  Alcotest.(check bool) "every fault detected" true
+    (List.for_all snd o.Batch.results);
+  if words >= 65536.0 then
+    Alcotest.failf "Batch.run allocated %.0f minor words (bound 65536)" words
+
+let test_exhaustive_width_cap () =
+  let c = and_or_circuit 21 in
+  let sim = Simulator.create c in
+  let seg = Segment.of_members c (Circuit.combinational c) in
+  Alcotest.check_raises "width 21"
+    (Invalid_argument
+       "Fault_engine.Batch.run: exhaustive width must be at most 20")
+    (fun () ->
+      ignore
+        (Batch.run_segment (Batch.policy ()) sim seg ~patterns:Batch.Exhaustive
+           []))
 
 (* --- pack_vectors: the single-pass chunker vs the old take-based one *)
 
@@ -235,4 +326,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pack_vectors;
     Alcotest.test_case "pack_vectors ragged final chunk" `Quick
       test_pack_ragged_final_chunk;
+    Alcotest.test_case "exhaustive closed form = packed list" `Quick
+      test_exhaustive_closed_form;
+    Alcotest.test_case "exhaustive run allocates no pattern list" `Quick
+      test_exhaustive_allocation;
+    Alcotest.test_case "exhaustive width cap" `Quick test_exhaustive_width_cap;
   ]

@@ -18,30 +18,29 @@ let and_circuit () =
 let seg_of c names =
   Segment.of_members c (Array.of_list (List.map (Circuit.find c) names))
 
+let exhaustive_patterns = Pattern_oracle.exhaustive_patterns
+
+(* the engine's closed form on a hand-checkable width; the exhaustive
+   comparison against the packed list is in test_fault_engine *)
 let test_exhaustive_patterns_shape () =
-  let batches = Fault_engine.exhaustive_patterns ~width:3 in
   (* 8 vectors fit in one 62-bit batch *)
-  Alcotest.(check int) "one batch" 1 (List.length batches);
-  (match batches with
-   | [ words ] ->
-     Alcotest.(check int) "three inputs" 3 (Array.length words);
-     (* input 0 alternates 0101... -> low 8 bits 0xAA pattern *)
-     Alcotest.(check int) "bit column 0" 0b10101010 (words.(0) land 0xFF);
-     Alcotest.(check int) "bit column 1" 0b11001100 (words.(1) land 0xFF);
-     Alcotest.(check int) "bit column 2" 0b11110000 (words.(2) land 0xFF)
-   | _ -> Alcotest.fail "expected one batch")
+  Alcotest.(check int) "one batch" 1 (Fault_engine.exhaustive_batches ~width:3);
+  let word i = Fault_engine.exhaustive_word ~width:3 ~batch:0 i in
+  (* input 0 alternates 0101..., and nothing is set past vector 7 *)
+  Alcotest.(check int) "bit column 0" 0b10101010 (word 0);
+  Alcotest.(check int) "bit column 1" 0b11001100 (word 1);
+  Alcotest.(check int) "bit column 2" 0b11110000 (word 2)
 
 let test_exhaustive_patterns_multibatch () =
-  let batches = Fault_engine.exhaustive_patterns ~width:8 in
   (* 256 vectors over 62-bit words -> ceil(256/62) = 5 batches *)
-  Alcotest.(check int) "batches" 5 (List.length batches)
+  Alcotest.(check int) "batches" 5 (Fault_engine.exhaustive_batches ~width:8)
 
 let test_and_gate_full_coverage () =
   let c = and_circuit () in
   let sim = Simulator.create c in
   let seg = seg_of c [ "y" ] in
   let faults = Fault.of_segment c seg in
-  let patterns = Fault_engine.exhaustive_patterns ~width:2 in
+  let patterns = exhaustive_patterns ~width:2 in
   let results = Fault_sim.segment_detects sim seg ~patterns faults in
   Alcotest.(check (float 1e-9)) "all detected" 1.0
     (Fault_engine.coverage results)
@@ -65,7 +64,7 @@ let test_redundant_fault_undetected () =
   let seg = seg_of c [ "n"; "y" ] in
   let y = Circuit.find c "y" in
   let fault = { Fault.site = Fault.Output y; stuck_at = true } in
-  let patterns = Fault_engine.exhaustive_patterns ~width:1 in
+  let patterns = exhaustive_patterns ~width:1 in
   let results = Fault_sim.segment_detects sim seg ~patterns [ fault ] in
   Alcotest.(check bool) "redundant undetected" false (List.assoc fault results)
 
@@ -77,7 +76,7 @@ let test_pin_fault_vs_output_fault () =
   let y = Circuit.find c "y" in
   let pin = { Fault.site = Fault.Input_pin (y, 0); stuck_at = true } in
   let out = { Fault.site = Fault.Output (Circuit.find c "a"); stuck_at = true } in
-  let patterns = Fault_engine.exhaustive_patterns ~width:2 in
+  let patterns = exhaustive_patterns ~width:2 in
   let r = Fault_sim.segment_detects sim seg ~patterns [ pin; out ] in
   Alcotest.(check bool) "equivalent" true (List.assoc pin r = List.assoc out r)
 

@@ -207,9 +207,9 @@ let test_fixture_retiming_legality () =
          (Some { cert with Merced.cert_rho = rho }))
 
 let test_fixture_exhaustive_width () =
-  (* a 16-wide AND at l_k 16 yields a segment past the default campaign
-     width of 14 *)
-  let names = List.init 16 (fun i -> Printf.sprintf "a%d" i) in
+  (* an 18-wide AND cannot be split under l_k 16, so its oversize
+     segment lies past the default campaign width (the default l_k) *)
+  let names = List.init 18 (fun i -> Printf.sprintf "a%d" i) in
   let src =
     String.concat ""
       (List.map (Printf.sprintf "INPUT(%s)\n") names)
