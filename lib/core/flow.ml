@@ -36,40 +36,91 @@ let saturate ?csr g (p : Params.t) rng =
       done;
       n_pending := !k
     in
-    let ws = Dijkstra.workspace ?csr g in
-    let bump_visits =
+    let tree_nets = ref 0 and settled = ref 0 in
+    (* [inject src] adds one shortest-path tree's flow; [finish ()]
+       completes [flow] after the last tree *)
+    let inject, finish =
       match csr with
       | None ->
-        fun e ->
+        let ws = Dijkstra.workspace g in
+        let inject src =
+          let tree = Dijkstra.run_into ws g ~dist:(fun e -> distance.(e)) ~src in
+          tree_nets := !tree_nets + Array.length tree.Dijkstra.tree_nets;
+          for v = 0 to n - 1 do
+            if tree.Dijkstra.dist.(v) < infinity then incr settled
+          done;
           Array.iter
-            (fun v -> visits.(v) <- visits.(v) + 1)
-            (Netgraph.net_sinks g e)
+            (fun e ->
+              flow.(e) <- flow.(e) +. p.Params.delta;
+              distance.(e) <-
+                exp (p.Params.alpha *. flow.(e) /. p.Params.capacity);
+              Array.iter
+                (fun v -> visits.(v) <- visits.(v) + 1)
+                (Netgraph.net_sinks g e))
+            tree.Dijkstra.tree_nets
+        in
+        (inject, ignore)
       | Some c ->
+        (* A net's flow and distance depend only on how many trees have
+           used it. Entry [k] of [flow_at]/[distance_at] holds them after
+           [k] hits: the same [+. delta] chain and the same [exp] as the
+           branch above, so the same bits, computed once per hit count
+           instead of once per tree net. *)
+        let kernel = Dijkstra.Flat.create c in
+        let nets = Dijkstra.Flat.tree_nets kernel in
         let sink_off = c.Ppet_digraph.Csr.sink_off
         and sink = c.Ppet_digraph.Csr.sink in
-        fun e ->
-          for j = sink_off.(e) to sink_off.(e + 1) - 1 do
-            let v = sink.(j) in
-            visits.(v) <- visits.(v) + 1
+        let hits = Array.make m 0 in
+        let flow_at = ref [| 0.0 |] and distance_at = ref [| 1.0 |] in
+        let grow () =
+          let have = Array.length !flow_at in
+          let len = max 1024 (2 * have) in
+          let f = Array.make len 0.0 and d = Array.make len 1.0 in
+          Array.blit !flow_at 0 f 0 have;
+          Array.blit !distance_at 0 d 0 have;
+          for k = have to len - 1 do
+            f.(k) <- f.(k - 1) +. p.Params.delta;
+            d.(k) <- exp (p.Params.alpha *. f.(k) /. p.Params.capacity)
+          done;
+          flow_at := f;
+          distance_at := d
+        in
+        let inject src =
+          let count = Dijkstra.Flat.run kernel ~dist:distance ~src in
+          tree_nets := !tree_nets + count;
+          settled := !settled + Dijkstra.Flat.settled kernel;
+          (* a net gains at most one hit per tree *)
+          if Array.length !distance_at <= !iterations + 1 then grow ();
+          let distance_at = !distance_at in
+          for i = 0 to count - 1 do
+            let e = nets.(i) in
+            let h = hits.(e) + 1 in
+            hits.(e) <- h;
+            distance.(e) <- distance_at.(h);
+            for j = sink_off.(e) to sink_off.(e + 1) - 1 do
+              let v = sink.(j) in
+              visits.(v) <- visits.(v) + 1
+            done
           done
+        in
+        let finish () =
+          let flow_at = !flow_at in
+          for e = 0 to m - 1 do
+            flow.(e) <- flow_at.(hits.(e))
+          done
+        in
+        (inject, finish)
     in
-    let tree_nets = ref 0 in
     while !n_pending > 0 && !iterations < p.Params.max_iterations do
       let src = pending.(Prng.int rng !n_pending) in
       visits.(src) <- visits.(src) + 1;
-      let tree = Dijkstra.run_into ws g ~dist:(fun e -> distance.(e)) ~src in
-      tree_nets := !tree_nets + Array.length tree.Dijkstra.tree_nets;
-      Array.iter
-        (fun e ->
-          flow.(e) <- flow.(e) +. p.Params.delta;
-          distance.(e) <-
-            exp (p.Params.alpha *. flow.(e) /. p.Params.capacity);
-          bump_visits e)
-        tree.Dijkstra.tree_nets;
+      inject src;
       incr iterations;
       compact ()
     done;
-    Obs.add Obs.Metric.Flow_tree_nets !tree_nets
+    finish ();
+    Obs.add Obs.Metric.Flow_tree_nets !tree_nets;
+    Obs.add Obs.Metric.Flow_settled !settled
   end;
   Obs.add Obs.Metric.Flow_iterations !iterations;
   { distance; flow; visits; iterations = !iterations }

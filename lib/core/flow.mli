@@ -26,9 +26,15 @@ val saturate :
   ?csr:Ppet_digraph.Csr.t ->
   Ppet_digraph.Netgraph.t -> Params.t -> Ppet_digraph.Prng.t -> result
 (** Runs until every vertex reaches [min_visit] visits or
-    [max_iterations] trees have been injected. [csr] (a snapshot of the
-    same graph) routes the Dijkstra runs and visit updates over the flat
-    rows; the injected trees and resulting distances are identical. *)
+    [max_iterations] trees have been injected.
+
+    [csr] (a snapshot of the same graph) runs the trees on
+    {!Ppet_digraph.Dijkstra.Flat} and reads each net's new flow and
+    distance from tables indexed by how many trees have used it, so the
+    loop allocates nothing per tree. The result is bit-identical to the
+    path without [csr]: the same trees, the same [+. delta] sums, the
+    same [exp]. Records the [Flow_tree_nets], [Flow_settled] and
+    [Flow_iterations] counters. *)
 
 val boundaries : result -> float list
 (** Distinct distance values, descending — the stack D of Table 4. *)

@@ -21,12 +21,8 @@ type workspace
     runs on one graph — the saturation loop's per-call allocations
     removed. *)
 
-val workspace : ?csr:Csr.t -> Netgraph.t -> workspace
-(** A workspace sized for [g]'s current node and net counts. Passing
-    [csr] (a {!Csr.of_netgraph} snapshot of the same graph) makes
-    {!run_into} relax over the flat rows instead of the Netgraph
-    queries — the identical relaxation sequence, minus the per-vertex
-    array fetches. Raises [Invalid_argument] on a size mismatch. *)
+val workspace : Netgraph.t -> workspace
+(** A workspace sized for [g]'s current node and net counts. *)
 
 val run_into : workspace -> Netgraph.t -> dist:(int -> float) -> src:int -> tree
 (** Exactly {!run}, but computing into the workspace: the returned
@@ -39,3 +35,33 @@ val path_to : tree -> Netgraph.t -> int -> int list
 (** [path_to t g v] is the list of net ids on the tree path from the
     source to [v], source side first. Raises [Not_found] when [v] is
     unreachable. *)
+
+(** The same search over a {!Csr} snapshot, for the saturation loop's
+    hot path. It settles the same vertices through the same nets as
+    {!run_into} (its heap makes [Heap]'s exact comparisons, so ties
+    between equal distances break the same way), but it allocates
+    nothing per run: distances are read from a float array, the tree
+    is left in the kernel's buffers, and only the vertices the previous
+    run reached are reset. *)
+module Flat : sig
+  type t
+
+  val create : Csr.t -> t
+  (** A kernel sized for the snapshot. *)
+
+  val run : t -> dist:float array -> src:int -> int
+  (** [run k ~dist ~src] searches from [src], where traversing net [e]
+      costs [dist.(e)], and returns the number of distinct tree nets:
+      [(tree_nets k).(0 .. count - 1)], in the order their vertices
+      settled: the same set as the [tree_nets] of [Dijkstra.run] from
+      [src] over the same distances. Raises
+      [Invalid_argument] on a bad source, a [dist] shorter than the
+      net count, or a negative distance. *)
+
+  val tree_nets : t -> int array
+  (** The kernel's tree-net buffer; overwritten by the next {!run}. *)
+
+  val settled : t -> int
+  (** Vertices the last {!run} settled: the source and every vertex it
+      reaches. *)
+end

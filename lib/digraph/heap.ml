@@ -24,7 +24,9 @@ let mem h k = k >= 0 && k < Array.length h.pos && h.pos.(k) >= 0
    it once at its final slot, instead of a three-array swap per level.
    The comparison sequence — and therefore the resulting layout, and
    therefore tie-breaking everywhere downstream — is identical to the
-   textbook swap formulation. *)
+   textbook swap formulation. [Dijkstra.Flat] repeats both sift loops
+   inline and must keep making the same comparisons; the "flat kernel =
+   run_into" property in test_dijkstra.ml fails if they drift apart. *)
 let sift_up h i =
   let k = h.keys.(i) and p = h.prios.(i) in
   let i = ref i in
@@ -91,9 +93,9 @@ let insert_or_decrease h k p =
   end
   else insert h k p
 
-let pop_min_key h =
+let pop_min h =
   if h.len = 0 then invalid_arg "Heap.pop_min: empty heap";
-  let k = h.keys.(0) in
+  let k = h.keys.(0) and p = h.prios.(0) in
   h.len <- h.len - 1;
   if h.len > 0 then begin
     let last = h.len in
@@ -103,12 +105,6 @@ let pop_min_key h =
     sift_down h 0
   end;
   h.pos.(k) <- -1;
-  k
-
-let pop_min h =
-  if h.len = 0 then invalid_arg "Heap.pop_min: empty heap";
-  let p = h.prios.(0) in
-  let k = pop_min_key h in
   (k, p)
 
 let clear h =

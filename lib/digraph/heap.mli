@@ -33,11 +33,6 @@ val pop_min : t -> int * float
 (** Remove and return the (key, priority) pair with minimal priority.
     Raises [Invalid_argument] on an empty heap. *)
 
-val pop_min_key : t -> int
-(** {!pop_min} without boxing the priority into a tuple — for hot loops
-    that can recover it elsewhere (e.g. a Dijkstra settle loop, where it
-    equals the vertex's current tentative distance). *)
-
 val clear : t -> unit
 (** Remove every key in O(size), leaving the heap ready for reuse —
     cheaper than reallocating when the same heap serves many runs. *)

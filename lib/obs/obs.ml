@@ -2,6 +2,7 @@ module Metric = struct
   type t =
     | Flow_iterations
     | Flow_tree_nets
+    | Flow_settled
     | Bf_relaxations
     | Retime_required_kept
     | Retime_required_dropped
@@ -19,6 +20,7 @@ module Metric = struct
   let name = function
     | Flow_iterations -> "flow.iterations"
     | Flow_tree_nets -> "flow.tree_nets"
+    | Flow_settled -> "flow.settled"
     | Bf_relaxations -> "retime.bf_relaxations"
     | Retime_required_kept -> "retime.required_kept"
     | Retime_required_dropped -> "retime.required_dropped"
@@ -35,8 +37,9 @@ module Metric = struct
 
   let all =
     [
-      Flow_iterations; Flow_tree_nets; Bf_relaxations; Retime_required_kept;
-      Retime_required_dropped; Clusters_formed; Partitions_formed;
+      Flow_iterations; Flow_tree_nets; Flow_settled; Bf_relaxations;
+      Retime_required_kept; Retime_required_dropped; Clusters_formed;
+      Partitions_formed;
       Faults_simulated; Fault_patterns; Fault_word_evals; Campaign_circuits;
       Lint_rules_fired; Lint_findings;
       Pool_dispatches; Pool_busy_ns;

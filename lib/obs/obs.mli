@@ -17,6 +17,7 @@ module Metric : sig
   type t =
     | Flow_iterations        (** shortest-path trees injected by [Flow.saturate] *)
     | Flow_tree_nets         (** nets relaxed across all injected trees *)
+    | Flow_settled           (** vertices settled across all injected trees *)
     | Bf_relaxations         (** Bellman–Ford relax steps in [Retime.solve] *)
     | Retime_required_kept   (** register requirements retained by the solver *)
     | Retime_required_dropped(** requirements dropped on over-constrained loops *)

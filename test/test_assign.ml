@@ -8,6 +8,8 @@ module To_graph = Ppet_netlist.To_graph
 module Scc_budget = Ppet_retiming.Scc_budget
 module Generator = Ppet_netlist.Generator
 module S27 = Ppet_netlist.S27
+module Csr = Ppet_digraph.Csr
+module Benchmarks = Ppet_netlist.Benchmarks
 
 let run_pipeline ?(l_k = 3) c =
   let g = To_graph.partition_view c in
@@ -110,6 +112,103 @@ let prop_valid_partitions =
            (fun p -> p.Assign.oversize || p.Assign.input_count <= l_k)
            a.Assign.partitions)
 
+(* Below the candidate cap the hashed path is the flat path's oracle:
+   same partitions, same cut nets, same merge count. *)
+let prop_flat_matches_hashed =
+  QCheck.Test.make ~name:"flat assign = hashed assign below the cap" ~count:30
+    QCheck.(pair (int_bound 10_000) (int_range 4 12))
+    (fun (seed, l_k) ->
+      let c =
+        Generator.small_random ~seed:(Int64.of_int (seed + 13)) ~n_pi:6
+          ~n_dff:(3 + (seed mod 6)) ~n_gates:(30 + (seed mod 40))
+      in
+      let g = To_graph.partition_view c in
+      let params = { Params.default with Params.l_k } in
+      let rng = Prng.create (Int64.of_int seed) in
+      let flow = Flow.saturate g params rng in
+      let clustering = Cluster.make_group c g (Scc_budget.create c g) flow params in
+      let hashed = Assign.run c g clustering params (Prng.copy rng) in
+      let flat =
+        Assign.run ~csr:(Csr.of_netgraph g) c g clustering params (Prng.copy rng)
+      in
+      flat.Assign.partition_of = hashed.Assign.partition_of
+      && flat.Assign.cut_nets = hashed.Assign.cut_nets
+      && flat.Assign.merges = hashed.Assign.merges)
+
+(* The flat path above the candidate cap, where the hashed path draws
+   its sample differently and is no oracle. Saturation and clustering
+   as in Merced.run at l_k 16; the assignment then runs at the default
+   cap and at 8. s5378 forms ~2 000 clusters and s9234.1 ~3 900, so
+   the default cap samples by partial Fisher-Yates (s5378) and from the
+   lazily compacted pool (s9234.1), and cap 8 drives both on each.
+   Expected values were recorded before the scoring rewrite. *)
+let flat_pipeline =
+  let memo = Hashtbl.create 2 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some r -> r
+    | None ->
+      let c = Benchmarks.circuit name in
+      let g = To_graph.partition_view c in
+      let csr = Csr.of_netgraph g in
+      let p = Params.with_lk 16 in
+      let rng = Prng.create p.Params.seed in
+      let flow = Flow.saturate ~csr g p rng in
+      let clustering =
+        Cluster.make_group ~csr c g (Scc_budget.create c g) flow p
+      in
+      let r = (c, g, csr, p, rng, clustering) in
+      Hashtbl.replace memo name r;
+      r
+
+let assign_flat ?cap name =
+  let c, g, csr, p, rng, clustering = flat_pipeline name in
+  let p =
+    match cap with
+    | None -> p
+    | Some cap -> { p with Params.max_merge_candidates = cap }
+  in
+  Assign.run ~csr c g clustering p (Prng.copy rng)
+
+let digest_ints a =
+  Digest.to_hex
+    (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int a))))
+
+let test_sampled_pins () =
+  List.iter
+    (fun (name, cap, partitions, cut_nets, merges, digest) ->
+      let a = assign_flat ?cap name in
+      let what field =
+        Printf.sprintf "%s cap %s: %s" name
+          (match cap with None -> "default" | Some k -> string_of_int k)
+          field
+      in
+      Alcotest.(check int) (what "partitions") partitions
+        (List.length a.Assign.partitions);
+      Alcotest.(check int) (what "cut nets") cut_nets (List.length a.Assign.cut_nets);
+      Alcotest.(check int) (what "merges") merges a.Assign.merges;
+      Alcotest.(check string) (what "partition_of digest") digest
+        (digest_ints a.Assign.partition_of))
+    [
+      ("s5378", None, 56, 693, 1976, "8cfd7ebd4e7687f068d8884ec84737d4");
+      ("s5378", Some 8, 161, 1594, 1871, "da55fe7a566c10c6f9e217e0bdb03d28");
+      ("s9234.1", None, 132, 1643, 3807, "bb90b383a1a836bfb3503b2fe51580b5");
+      ("s9234.1", Some 8, 327, 3144, 3612, "bac096dad8ecb63219fb21d0f5b0bdc5");
+    ]
+
+(* Allocation guard: scoring and sampling allocate nothing per
+   candidate, so what is left per merge is the merged entering-net
+   array and the emitted partitions. *)
+let test_flat_allocation () =
+  ignore (flat_pipeline "s5378");
+  let before = Gc.minor_words () in
+  let a = assign_flat "s5378" in
+  let words = Gc.minor_words () -. before in
+  let per_merge = words /. float_of_int a.Assign.merges in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per merge (bound 256)" per_merge)
+    true (per_merge < 256.)
+
 let suite =
   [
     Alcotest.test_case "partitions cover V once" `Quick test_partitions_cover;
@@ -120,4 +219,9 @@ let suite =
     Alcotest.test_case "merging never adds cuts" `Quick test_merging_never_hurts_cuts;
     Alcotest.test_case "paper worked example shape" `Quick test_paper_example_shape;
     QCheck_alcotest.to_alcotest prop_valid_partitions;
+    QCheck_alcotest.to_alcotest prop_flat_matches_hashed;
+    Alcotest.test_case "sampled candidates pinned (s5378, s9234.1)" `Quick
+      test_sampled_pins;
+    Alcotest.test_case "flat assign allocation (s5378)" `Quick
+      test_flat_allocation;
   ]

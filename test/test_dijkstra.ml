@@ -1,6 +1,7 @@
 module Netgraph = Ppet_digraph.Netgraph
 module Dijkstra = Ppet_digraph.Dijkstra
 module Prng = Ppet_digraph.Prng
+module Csr = Ppet_digraph.Csr
 
 let simple () =
   (* 0 -e0(1)-> 1 -e1(1)-> 2 ; 0 -e2(3)-> 2 *)
@@ -122,6 +123,58 @@ let prop_run_into_reuse =
       done;
       !ok)
 
+(* property: the flat kernel settles the same vertices through the same
+   nets as run_into, run after run on one kernel. Weights drawn from
+   {1, 2, 3} make equal distances common, so the heap's tie order
+   decides many via nets. *)
+let prop_flat_matches_run_into =
+  QCheck.Test.make ~name:"flat kernel = run_into" ~count:100
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create (Int64.of_int (seed + 29)) in
+      let n = 2 + Prng.int rng 40 in
+      let g = Netgraph.create n in
+      let m = 3 * n in
+      for _ = 1 to m do
+        let s = Prng.int rng n in
+        let sinks = List.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng n) in
+        ignore (Netgraph.add_net g ~src:s ~sinks)
+      done;
+      let w = Array.init m (fun _ -> float_of_int (1 + Prng.int rng 3)) in
+      let ws = Dijkstra.workspace g in
+      let flat = Dijkstra.Flat.create (Csr.of_netgraph g) in
+      let ok = ref true in
+      for _ = 0 to 5 do
+        let src = Prng.int rng n in
+        let tree = Dijkstra.run_into ws g ~dist:(fun e -> w.(e)) ~src in
+        let count = Dijkstra.Flat.run flat ~dist:w ~src in
+        let nets = Array.sub (Dijkstra.Flat.tree_nets flat) 0 count in
+        Array.sort compare nets;
+        let want = Array.copy tree.Dijkstra.tree_nets in
+        Array.sort compare want;
+        let reached =
+          Array.fold_left (fun k d -> if d < infinity then k + 1 else k) 0
+            tree.Dijkstra.dist
+        in
+        if nets <> want || Dijkstra.Flat.settled flat <> reached then ok := false;
+        (* later runs see the distances this tree would have raised *)
+        Array.iter (fun e -> w.(e) <- w.(e) +. 1.0) want
+      done;
+      !ok)
+
+let test_flat_recovers_after_error () =
+  let g = Netgraph.create 3 in
+  let _ = Netgraph.add_net g ~src:0 ~sinks:[ 1 ] in
+  let _ = Netgraph.add_net g ~src:1 ~sinks:[ 2 ] in
+  let flat = Dijkstra.Flat.create (Csr.of_netgraph g) in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Dijkstra.run: negative net distance") (fun () ->
+      ignore (Dijkstra.Flat.run flat ~dist:[| 1.0; -1.0 |] ~src:0));
+  let count = Dijkstra.Flat.run flat ~dist:[| 1.0; 1.0 |] ~src:1 in
+  Alcotest.(check (array int)) "fresh tree after the failed run" [| 1 |]
+    (Array.sub (Dijkstra.Flat.tree_nets flat) 0 count);
+  Alcotest.(check int) "settled" 2 (Dijkstra.Flat.settled flat)
+
 let test_run_into_too_small () =
   let g = Netgraph.create 2 in
   let _ = Netgraph.add_net g ~src:0 ~sinks:[ 1 ] in
@@ -142,4 +195,7 @@ let suite =
     Alcotest.test_case "run_into rejects a stale workspace" `Quick test_run_into_too_small;
     QCheck_alcotest.to_alcotest prop_relaxed;
     QCheck_alcotest.to_alcotest prop_run_into_reuse;
+    Alcotest.test_case "flat kernel recovers after an error" `Quick
+      test_flat_recovers_after_error;
+    QCheck_alcotest.to_alcotest prop_flat_matches_run_into;
   ]

@@ -4,6 +4,9 @@ module Netgraph = Ppet_digraph.Netgraph
 module Prng = Ppet_digraph.Prng
 module To_graph = Ppet_netlist.To_graph
 module S27 = Ppet_netlist.S27
+module Csr = Ppet_digraph.Csr
+module Generator = Ppet_netlist.Generator
+module Benchmarks = Ppet_netlist.Benchmarks
 
 let params = { Params.default with Params.l_k = 3 }
 
@@ -94,6 +97,53 @@ let test_invalid_params () =
        false
      with Invalid_argument _ -> true)
 
+(* The CSR path (flat Dijkstra kernel, hit-count tables) against the
+   hashed one (Netgraph, Heap, per-net exp): every bit of every net's
+   distance and flow, every visit count, the tree count. Each flow
+   starts with all distances at 1.0, so ties decide the early trees. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let csr_matches_hashed ?(p = params) c seed =
+  let g = To_graph.partition_view c in
+  let flat = Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create seed) in
+  let hashed = Flow.saturate g p (Prng.create seed) in
+  same_bits flat.Flow.distance hashed.Flow.distance
+  && same_bits flat.Flow.flow hashed.Flow.flow
+  && flat.Flow.visits = hashed.Flow.visits
+  && flat.Flow.iterations = hashed.Flow.iterations
+
+let test_csr_matches_hashed_fixed () =
+  Alcotest.(check bool) "s27" true (csr_matches_hashed (S27.circuit ()) 1L);
+  Alcotest.(check bool) "s641" true
+    (csr_matches_hashed ~p:Params.default (Benchmarks.circuit "s641") 5L)
+
+let prop_csr_matches_hashed =
+  QCheck.Test.make ~name:"csr flow = hashed flow, bit for bit" ~count:40
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let c =
+        Generator.small_random ~seed:(Int64.of_int seed) ~n_pi:(3 + (seed mod 5))
+          ~n_dff:(2 + (seed mod 7)) ~n_gates:(20 + (seed mod 50))
+      in
+      csr_matches_hashed c (Int64.of_int (seed * 7)))
+
+(* Allocation guard: one saturation of s5378 allocates a fixed handful
+   of small blocks, however many trees it injects (~1500 here). *)
+let test_csr_allocation () =
+  let g = To_graph.partition_view (Benchmarks.circuit "s5378") in
+  let csr = Csr.of_netgraph g in
+  let p = Params.with_lk 16 in
+  let rng = Prng.create p.Params.seed in
+  let before = Gc.minor_words () in
+  let r = Flow.saturate ~csr g p rng in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d trees allocate %.0f minor words (bound 4096)"
+       r.Flow.iterations words)
+    true (words < 4096.)
+
 let suite =
   [
     Alcotest.test_case "every vertex sampled" `Quick test_all_visited;
@@ -105,4 +155,9 @@ let suite =
     Alcotest.test_case "iteration cap" `Quick test_max_iterations_cap;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "invalid params rejected" `Quick test_invalid_params;
+    Alcotest.test_case "csr = hashed on s27 and s641" `Quick
+      test_csr_matches_hashed_fixed;
+    QCheck_alcotest.to_alcotest prop_csr_matches_hashed;
+    Alcotest.test_case "csr saturation allocation (s5378)" `Quick
+      test_csr_allocation;
   ]

@@ -6,6 +6,26 @@ let test_deterministic () =
     Alcotest.(check int64) "same stream" (Prng.next_int64 a) (Prng.next_int64 b)
   done
 
+(* the published splitmix64 output for seed 0 *)
+let test_reference_vectors () =
+  let g = Prng.create 0L in
+  List.iter
+    (fun want -> Alcotest.(check int64) "splitmix64 seed 0" want (Prng.next_int64 g))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+      0xF88BB8A8724C81ECL ]
+
+let test_int_allocates_nothing () =
+  let g = Prng.create 21L in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Prng.int g 1000
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k draws allocate %.0f minor words" words)
+    true (words < 64.)
+
 let test_different_seeds () =
   let a = Prng.create 1L and b = Prng.create 2L in
   let xs = List.init 16 (fun _ -> Prng.next_int64 a) in
@@ -78,6 +98,8 @@ let test_pick_empty () =
 let suite =
   [
     Alcotest.test_case "deterministic stream" `Quick test_deterministic;
+    Alcotest.test_case "splitmix64 reference vectors" `Quick test_reference_vectors;
+    Alcotest.test_case "int allocates nothing" `Quick test_int_allocates_nothing;
     Alcotest.test_case "seeds differ" `Quick test_different_seeds;
     Alcotest.test_case "copy is independent" `Quick test_copy_independent;
     Alcotest.test_case "int within bounds" `Quick test_int_bounds;
