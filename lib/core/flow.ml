@@ -36,7 +36,7 @@ let saturate ?csr g (p : Params.t) rng =
       done;
       n_pending := !k
     in
-    let tree_nets = ref 0 and settled = ref 0 in
+    let tree_nets = ref 0 and settled = ref 0 and decreases = ref 0 in
     (* [inject src] adds one shortest-path tree's flow; [finish ()]
        completes [flow] after the last tree *)
     let inject, finish =
@@ -46,6 +46,7 @@ let saturate ?csr g (p : Params.t) rng =
         let inject src =
           let tree = Dijkstra.run_into ws g ~dist:(fun e -> distance.(e)) ~src in
           tree_nets := !tree_nets + Array.length tree.Dijkstra.tree_nets;
+          decreases := !decreases + tree.Dijkstra.decreases;
           for v = 0 to n - 1 do
             if tree.Dijkstra.dist.(v) < infinity then incr settled
           done;
@@ -68,8 +69,6 @@ let saturate ?csr g (p : Params.t) rng =
            instead of once per tree net. *)
         let kernel = Dijkstra.Flat.create c in
         let nets = Dijkstra.Flat.tree_nets kernel in
-        let sink_off = c.Ppet_digraph.Csr.sink_off
-        and sink = c.Ppet_digraph.Csr.sink in
         let hits = Array.make m 0 in
         let flow_at = ref [| 0.0 |] and distance_at = ref [| 1.0 |] in
         let grow () =
@@ -85,22 +84,18 @@ let saturate ?csr g (p : Params.t) rng =
           flow_at := f;
           distance_at := d
         in
+        (* the kernel adds each tree net's hit and its sinks' visits *)
         let inject src =
-          let count = Dijkstra.Flat.run kernel ~dist:distance ~src in
+          let count = Dijkstra.Flat.run kernel ~dist:distance ~hits ~visits ~src in
           tree_nets := !tree_nets + count;
           settled := !settled + Dijkstra.Flat.settled kernel;
+          decreases := !decreases + Dijkstra.Flat.decreases kernel;
           (* a net gains at most one hit per tree *)
           if Array.length !distance_at <= !iterations + 1 then grow ();
           let distance_at = !distance_at in
           for i = 0 to count - 1 do
             let e = nets.(i) in
-            let h = hits.(e) + 1 in
-            hits.(e) <- h;
-            distance.(e) <- distance_at.(h);
-            for j = sink_off.(e) to sink_off.(e + 1) - 1 do
-              let v = sink.(j) in
-              visits.(v) <- visits.(v) + 1
-            done
+            distance.(e) <- distance_at.(hits.(e))
           done
         in
         let finish () =
@@ -120,7 +115,8 @@ let saturate ?csr g (p : Params.t) rng =
     done;
     finish ();
     Obs.add Obs.Metric.Flow_tree_nets !tree_nets;
-    Obs.add Obs.Metric.Flow_settled !settled
+    Obs.add Obs.Metric.Flow_settled !settled;
+    Obs.add Obs.Metric.Flow_decreases !decreases
   end;
   Obs.add Obs.Metric.Flow_iterations !iterations;
   { distance; flow; visits; iterations = !iterations }

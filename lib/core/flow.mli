@@ -29,12 +29,13 @@ val saturate :
     [max_iterations] trees have been injected.
 
     [csr] (a snapshot of the same graph) runs the trees on
-    {!Ppet_digraph.Dijkstra.Flat} and reads each net's new flow and
+    {!Ppet_digraph.Dijkstra.Flat}, which also counts each tree net's
+    hit and its sinks' visits, and reads each net's new flow and
     distance from tables indexed by how many trees have used it, so the
     loop allocates nothing per tree. The result is bit-identical to the
     path without [csr]: the same trees, the same [+. delta] sums, the
-    same [exp]. Records the [Flow_tree_nets], [Flow_settled] and
-    [Flow_iterations] counters. *)
+    same [exp]. Both paths record the [Flow_tree_nets], [Flow_settled],
+    [Flow_decreases] and [Flow_iterations] counters, with equal values. *)
 
 val boundaries : result -> float list
 (** Distinct distance values, descending — the stack D of Table 4. *)

@@ -2,6 +2,7 @@ type tree = {
   dist : float array;
   via : int array;
   tree_nets : int array;
+  decreases : int;
 }
 
 (* Everything a run needs, preallocated once and reused: the
@@ -47,6 +48,7 @@ let run_into ws g ~dist ~src =
   Heap.clear heap;
   d.(src) <- 0.0;
   Heap.insert heap src 0.0;
+  let decreases = ref 0 in
   while not (Heap.is_empty heap) do
     let v, dv = Heap.pop_min heap in
     if not settled.(v) then begin
@@ -60,6 +62,7 @@ let run_into ws g ~dist ~src =
             if (not settled.(u)) && cand < d.(u) then begin
               d.(u) <- cand;
               via.(u) <- e;
+              if Heap.mem heap u then incr decreases;
               Heap.insert_or_decrease heap u cand
             end)
           (Netgraph.net_sinks g e)
@@ -79,7 +82,12 @@ let run_into ws g ~dist ~src =
     end
   done;
   let count = !k in
-  { dist = d; via; tree_nets = Array.init count (fun i -> ws.ws_net_buf.(count - 1 - i)) }
+  {
+    dist = d;
+    via;
+    tree_nets = Array.init count (fun i -> ws.ws_net_buf.(count - 1 - i));
+    decreases = !decreases;
+  }
 
 let run g ~dist ~src = run_into (workspace g) g ~dist ~src
 
@@ -94,9 +102,10 @@ let path_to t g v =
 (* The flat kernel. It replays [run_into]'s relaxation sequence over the
    CSR rows with the binary heap written out over the kernel's own
    arrays, so no float is ever boxed: net distances come straight from
-   the caller's float array, and the sift loops below make exactly
-   [Heap]'s comparisons (see heap.ml), so equal distances leave the
-   same heap shape and settle through the same nets.
+   the caller's float array. Its sift-up makes [Heap]'s comparisons and
+   its bottom-up pop leaves [Heap.pop_min]'s layout (see the pop below),
+   so equal distances pop in the same order and settle through the same
+   nets.
 
    Two facts let it skip work [run_into] does:
    - no settled flag: weights are non-negative, so vertices settle in
@@ -115,6 +124,7 @@ module Flat = struct
     pos : int array;          (* vertex -> heap slot, or -1 *)
     order : int array;        (* vertices of the last run, in settle order *)
     mutable n_settled : int;
+    mutable n_decreases : int;
     mutable clean : bool;     (* false after a run that raised *)
     net_seen : int array;     (* stamp per net, for tree-net dedup *)
     mutable stamp : int;
@@ -132,6 +142,7 @@ module Flat = struct
       pos = Array.make n (-1);
       order = Array.make n 0;
       n_settled = 0;
+      n_decreases = 0;
       clean = true;
       net_seen = Array.make m 0;
       stamp = 0;
@@ -152,11 +163,15 @@ module Flat = struct
     end;
     k.n_settled <- 0
 
-  let run k ~dist ~src =
+  let run k ~dist ~hits ~visits ~src =
     let csr = k.csr in
     if src < 0 || src >= csr.Csr.n then invalid_arg "Dijkstra.run: bad source";
     if Array.length dist < csr.Csr.m then
       invalid_arg "Dijkstra.Flat.run: distance array shorter than the net count";
+    if Array.length hits < csr.Csr.m then
+      invalid_arg "Dijkstra.Flat.run: hit array shorter than the net count";
+    if Array.length visits < csr.Csr.n then
+      invalid_arg "Dijkstra.Flat.run: visit array shorter than the vertex count";
     reset k;
     k.clean <- false;
     k.stamp <- k.stamp + 1;
@@ -170,48 +185,66 @@ module Flat = struct
     keys.(0) <- src;
     prios.(0) <- 0.0;
     pos.(src) <- 0;
-    let len = ref 1 and n_settled = ref 0 and n_nets = ref 0 in
+    let len = ref 1 and n_settled = ref 0 and n_nets = ref 0 and n_dec = ref 0 in
     while !len > 0 do
-      (* pop the minimum: move the last entry to the root, sift down *)
+      (* Pop the minimum bottom-up (Floyd, TREESORT 3): the hole at the
+         root walks the min-child path to a leaf, ties going left, with
+         one branch-free compare per level; the last entry then climbs
+         back from that leaf while the entry above it is not below it.
+         Priorities never decrease along the path, so the entries not
+         below the last one's form a suffix of it, and the climb stops
+         in the slot where a top-down sift-down stops: every entry ends
+         where [Heap.pop_min] puts it. The vacated slot [last] holds
+         +inf, so a right child there never wins; queued priorities are
+         finite, since an entry goes in only when [cand < d u]. *)
       let v = Array.unsafe_get keys 0 in
       let last = !len - 1 in
       len := last;
       if last > 0 then begin
         let kl = Array.unsafe_get keys last and p = Array.unsafe_get prios last in
-        let i = ref 0 and go = ref true in
-        while !go do
-          let l = (2 * !i) + 1 in
-          let r = l + 1 in
+        Array.unsafe_set prios last infinity;
+        let i = ref 0 and l = ref 1 in
+        while !l < last do
           let c =
-            if l < last && Array.unsafe_get prios l < p then
-              if r < last && Array.unsafe_get prios r < Array.unsafe_get prios l
-              then r
-              else l
-            else if r < last && Array.unsafe_get prios r < p then r
-            else !i
+            !l + Bool.to_int (Array.unsafe_get prios (!l + 1) < Array.unsafe_get prios !l)
           in
-          if c <> !i then begin
-            let kc = Array.unsafe_get keys c in
-            Array.unsafe_set keys !i kc;
-            Array.unsafe_set prios !i (Array.unsafe_get prios c);
-            Array.unsafe_set pos kc !i;
-            i := c
+          let kc = Array.unsafe_get keys c in
+          Array.unsafe_set keys !i kc;
+          Array.unsafe_set prios !i (Array.unsafe_get prios c);
+          Array.unsafe_set pos kc !i;
+          i := c;
+          l := (2 * c) + 1
+        done;
+        let go = ref true in
+        while !go && !i > 0 do
+          let parent = (!i - 1) / 2 in
+          if Array.unsafe_get prios parent < p then go := false
+          else begin
+            let kp = Array.unsafe_get keys parent in
+            Array.unsafe_set keys !i kp;
+            Array.unsafe_set prios !i (Array.unsafe_get prios parent);
+            Array.unsafe_set pos kp !i;
+            i := parent
           end
-          else go := false
         done;
         Array.unsafe_set keys !i kl;
         Array.unsafe_set prios !i p;
         Array.unsafe_set pos kl !i
       end;
       Array.unsafe_set pos v (-1);
-      (* settle v *)
+      (* settle v; a net new to this tree takes a hit, its sinks a visit *)
       Array.unsafe_set order !n_settled v;
       incr n_settled;
       let ev = Array.unsafe_get via v in
       if ev >= 0 && Array.unsafe_get net_seen ev <> stamp then begin
         Array.unsafe_set net_seen ev stamp;
         Array.unsafe_set nets !n_nets ev;
-        incr n_nets
+        incr n_nets;
+        Array.unsafe_set hits ev (Array.unsafe_get hits ev + 1);
+        for j = Array.unsafe_get sink_off ev to Array.unsafe_get sink_off (ev + 1) - 1 do
+          let u = Array.unsafe_get sink j in
+          Array.unsafe_set visits u (Array.unsafe_get visits u + 1)
+        done
       end;
       let dv = Array.unsafe_get d v in
       for i = Array.unsafe_get out_off v to Array.unsafe_get out_off (v + 1) - 1 do
@@ -228,7 +261,10 @@ module Flat = struct
             let s = Array.unsafe_get pos u in
             let i =
               ref
-                (if s >= 0 then s
+                (if s >= 0 then begin
+                   incr n_dec;
+                   s
+                 end
                  else begin
                    let s = !len in
                    len := s + 1;
@@ -255,10 +291,13 @@ module Flat = struct
       done
     done;
     k.n_settled <- !n_settled;
+    k.n_decreases <- !n_dec;
     k.clean <- true;
     !n_nets
 
   let tree_nets k = k.nets
 
   let settled k = k.n_settled
+
+  let decreases k = k.n_decreases
 end

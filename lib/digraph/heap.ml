@@ -24,9 +24,11 @@ let mem h k = k >= 0 && k < Array.length h.pos && h.pos.(k) >= 0
    it once at its final slot, instead of a three-array swap per level.
    The comparison sequence — and therefore the resulting layout, and
    therefore tie-breaking everywhere downstream — is identical to the
-   textbook swap formulation. [Dijkstra.Flat] repeats both sift loops
-   inline and must keep making the same comparisons; the "flat kernel =
-   run_into" property in test_dijkstra.ml fails if they drift apart. *)
+   textbook swap formulation. [Dijkstra.Flat] inlines its own heap: its
+   sift-up makes these comparisons, its pop is bottom-up and makes
+   others, and both must keep producing the layout these loops produce;
+   the "flat kernel = run_into" property in test_dijkstra.ml fails if
+   they drift apart. *)
 let sift_up h i =
   let k = h.keys.(i) and p = h.prios.(i) in
   let i = ref i in

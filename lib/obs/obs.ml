@@ -3,6 +3,7 @@ module Metric = struct
     | Flow_iterations
     | Flow_tree_nets
     | Flow_settled
+    | Flow_decreases
     | Bf_relaxations
     | Retime_required_kept
     | Retime_required_dropped
@@ -21,6 +22,7 @@ module Metric = struct
     | Flow_iterations -> "flow.iterations"
     | Flow_tree_nets -> "flow.tree_nets"
     | Flow_settled -> "flow.settled"
+    | Flow_decreases -> "flow.decreases"
     | Bf_relaxations -> "retime.bf_relaxations"
     | Retime_required_kept -> "retime.required_kept"
     | Retime_required_dropped -> "retime.required_dropped"
@@ -37,7 +39,8 @@ module Metric = struct
 
   let all =
     [
-      Flow_iterations; Flow_tree_nets; Flow_settled; Bf_relaxations;
+      Flow_iterations; Flow_tree_nets; Flow_settled; Flow_decreases;
+      Bf_relaxations;
       Retime_required_kept; Retime_required_dropped; Clusters_formed;
       Partitions_formed;
       Faults_simulated; Fault_patterns; Fault_word_evals; Campaign_circuits;

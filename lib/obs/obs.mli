@@ -18,6 +18,11 @@ module Metric : sig
     | Flow_iterations        (** shortest-path trees injected by [Flow.saturate] *)
     | Flow_tree_nets         (** nets relaxed across all injected trees *)
     | Flow_settled           (** vertices settled across all injected trees *)
+    | Flow_decreases         (** heap decrease-keys across all injected
+                                 trees. Pops are [flow.settled] and pushes
+                                 [flow.settled - flow.iterations] (a
+                                 source is placed, not pushed), so this
+                                 completes the heap-operation count *)
     | Bf_relaxations         (** Bellman–Ford relax steps in [Retime.solve] *)
     | Retime_required_kept   (** register requirements retained by the solver *)
     | Retime_required_dropped(** requirements dropped on over-constrained loops *)

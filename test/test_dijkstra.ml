@@ -123,16 +123,46 @@ let prop_run_into_reuse =
       done;
       !ok)
 
+(* [Flat.run] against [run_into] on one source: the same tree nets (as
+   a set), settled count and decrease-key count, and the kernel's
+   [hits]/[visits] accounting equal to counts derived from run_into's
+   tree, which the [want_] arrays accumulate. Returns run_into's sorted
+   tree nets. *)
+let flat_agrees ~ok g ws flat ~w ~hits ~visits ~want_hits ~want_visits src =
+  let tree = Dijkstra.run_into ws g ~dist:(fun e -> w.(e)) ~src in
+  let count = Dijkstra.Flat.run flat ~dist:w ~hits ~visits ~src in
+  let nets = Array.sub (Dijkstra.Flat.tree_nets flat) 0 count in
+  Array.sort compare nets;
+  let want = Array.copy tree.Dijkstra.tree_nets in
+  Array.sort compare want;
+  let reached =
+    Array.fold_left (fun k d -> if d < infinity then k + 1 else k) 0 tree.Dijkstra.dist
+  in
+  Array.iter
+    (fun e ->
+      want_hits.(e) <- want_hits.(e) + 1;
+      Array.iter (fun v -> want_visits.(v) <- want_visits.(v) + 1) (Netgraph.net_sinks g e))
+    want;
+  if
+    nets <> want
+    || Dijkstra.Flat.settled flat <> reached
+    || Dijkstra.Flat.decreases flat <> tree.Dijkstra.decreases
+    || hits <> want_hits || visits <> want_visits
+  then ok := false;
+  want
+
 (* property: the flat kernel settles the same vertices through the same
-   nets as run_into, run after run on one kernel. Weights drawn from
-   {1, 2, 3} make equal distances common, so the heap's tie order
-   decides many via nets. *)
+   nets as run_into, twenty runs on one kernel, and does the same
+   accounting. Weights drawn from {1, 2} make equal distances the rule,
+   so the heap's tie order decides most via nets, and graphs of up to
+   ~300 vertices give heaps deep enough for the bottom-up pop to walk
+   several levels. *)
 let prop_flat_matches_run_into =
   QCheck.Test.make ~name:"flat kernel = run_into" ~count:100
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = Prng.create (Int64.of_int (seed + 29)) in
-      let n = 2 + Prng.int rng 40 in
+      let n = 2 + Prng.int rng 300 in
       let g = Netgraph.create n in
       let m = 3 * n in
       for _ = 1 to m do
@@ -140,40 +170,84 @@ let prop_flat_matches_run_into =
         let sinks = List.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng n) in
         ignore (Netgraph.add_net g ~src:s ~sinks)
       done;
-      let w = Array.init m (fun _ -> float_of_int (1 + Prng.int rng 3)) in
+      let w = Array.init m (fun _ -> float_of_int (1 + Prng.int rng 2)) in
       let ws = Dijkstra.workspace g in
       let flat = Dijkstra.Flat.create (Csr.of_netgraph g) in
+      let hits = Array.make m 0 and visits = Array.make n 0 in
+      let want_hits = Array.make m 0 and want_visits = Array.make n 0 in
       let ok = ref true in
-      for _ = 0 to 5 do
+      for _ = 1 to 20 do
         let src = Prng.int rng n in
-        let tree = Dijkstra.run_into ws g ~dist:(fun e -> w.(e)) ~src in
-        let count = Dijkstra.Flat.run flat ~dist:w ~src in
-        let nets = Array.sub (Dijkstra.Flat.tree_nets flat) 0 count in
-        Array.sort compare nets;
-        let want = Array.copy tree.Dijkstra.tree_nets in
-        Array.sort compare want;
-        let reached =
-          Array.fold_left (fun k d -> if d < infinity then k + 1 else k) 0
-            tree.Dijkstra.dist
+        let tree =
+          flat_agrees ~ok g ws flat ~w ~hits ~visits ~want_hits ~want_visits src
         in
-        if nets <> want || Dijkstra.Flat.settled flat <> reached then ok := false;
         (* later runs see the distances this tree would have raised *)
-        Array.iter (fun e -> w.(e) <- w.(e) +. 1.0) want
+        Array.iter (fun e -> w.(e) <- w.(e) +. 1.0) tree
       done;
       !ok)
+
+(* A star whose pops see heaps of 1, 2 and 3 entries: source 0 reaches
+   spokes 1..3 through nets of weight a, b, c, and every spoke reaches
+   vertex 4 through a net of weight x, y, z. Popping from three entries
+   vacates the root's right child, the sentinel slot; from two, the
+   root's only child. Every weight choice in {1, 2, 3}^3 x {1, 2}^3. *)
+let test_flat_star () =
+  let g = Netgraph.create 5 in
+  for s = 1 to 3 do
+    ignore (Netgraph.add_net g ~src:0 ~sinks:[ s ])
+  done;
+  for s = 1 to 3 do
+    ignore (Netgraph.add_net g ~src:s ~sinks:[ 4 ])
+  done;
+  let ws = Dijkstra.workspace g in
+  let flat = Dijkstra.Flat.create (Csr.of_netgraph g) in
+  let hits = Array.make 6 0 and visits = Array.make 5 0 in
+  let want_hits = Array.make 6 0 and want_visits = Array.make 5 0 in
+  let ok = ref true in
+  let rec product = function
+    | [] -> [ [] ]
+    | choices :: rest ->
+      List.concat_map (fun w -> List.map (List.cons w) (product rest)) choices
+  in
+  let spoke = [ 1.0; 2.0; 3.0 ] and into_4 = [ 1.0; 2.0 ] in
+  List.iter
+    (fun weights ->
+      ignore
+        (flat_agrees ~ok g ws flat ~w:(Array.of_list weights) ~hits ~visits
+           ~want_hits ~want_visits 0))
+    (product [ spoke; spoke; spoke; into_4; into_4; into_4 ]);
+  Alcotest.(check bool) "every weighting settles like run_into" true !ok
 
 let test_flat_recovers_after_error () =
   let g = Netgraph.create 3 in
   let _ = Netgraph.add_net g ~src:0 ~sinks:[ 1 ] in
   let _ = Netgraph.add_net g ~src:1 ~sinks:[ 2 ] in
   let flat = Dijkstra.Flat.create (Csr.of_netgraph g) in
+  let hits = Array.make 2 0 and visits = Array.make 3 0 in
   Alcotest.check_raises "negative"
     (Invalid_argument "Dijkstra.run: negative net distance") (fun () ->
-      ignore (Dijkstra.Flat.run flat ~dist:[| 1.0; -1.0 |] ~src:0));
-  let count = Dijkstra.Flat.run flat ~dist:[| 1.0; 1.0 |] ~src:1 in
+      ignore (Dijkstra.Flat.run flat ~dist:[| 1.0; -1.0 |] ~hits ~visits ~src:0));
+  Alcotest.(check (array int)) "partial tree: net 0 counted" [| 1; 0 |] hits;
+  Alcotest.(check (array int)) "partial tree: vertex 1 visited" [| 0; 1; 0 |] visits;
+  let hits = Array.make 2 0 and visits = Array.make 3 0 in
+  let count = Dijkstra.Flat.run flat ~dist:[| 1.0; 1.0 |] ~hits ~visits ~src:1 in
   Alcotest.(check (array int)) "fresh tree after the failed run" [| 1 |]
     (Array.sub (Dijkstra.Flat.tree_nets flat) 0 count);
-  Alcotest.(check int) "settled" 2 (Dijkstra.Flat.settled flat)
+  Alcotest.(check int) "settled" 2 (Dijkstra.Flat.settled flat);
+  Alcotest.(check (array int)) "hits" [| 0; 1 |] hits;
+  Alcotest.(check (array int)) "visits" [| 0; 0; 1 |] visits
+
+let test_flat_short_accounting () =
+  let g = Netgraph.create 2 in
+  let _ = Netgraph.add_net g ~src:0 ~sinks:[ 1 ] in
+  let flat = Dijkstra.Flat.create (Csr.of_netgraph g) in
+  let dist = [| 1.0 |] in
+  Alcotest.check_raises "hits"
+    (Invalid_argument "Dijkstra.Flat.run: hit array shorter than the net count")
+    (fun () -> ignore (Dijkstra.Flat.run flat ~dist ~hits:[||] ~visits:[| 0; 0 |] ~src:0));
+  Alcotest.check_raises "visits"
+    (Invalid_argument "Dijkstra.Flat.run: visit array shorter than the vertex count")
+    (fun () -> ignore (Dijkstra.Flat.run flat ~dist ~hits:[| 0 |] ~visits:[| 0 |] ~src:0))
 
 let test_run_into_too_small () =
   let g = Netgraph.create 2 in
@@ -197,5 +271,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_run_into_reuse;
     Alcotest.test_case "flat kernel recovers after an error" `Quick
       test_flat_recovers_after_error;
+    Alcotest.test_case "flat kernel rejects short accounting arrays" `Quick
+      test_flat_short_accounting;
+    Alcotest.test_case "flat kernel = run_into on a star (1-3 entry heaps)" `Quick
+      test_flat_star;
     QCheck_alcotest.to_alcotest prop_flat_matches_run_into;
   ]

@@ -7,6 +7,7 @@ module S27 = Ppet_netlist.S27
 module Csr = Ppet_digraph.Csr
 module Generator = Ppet_netlist.Generator
 module Benchmarks = Ppet_netlist.Benchmarks
+module Obs = Ppet_obs.Obs
 
 let params = { Params.default with Params.l_k = 3 }
 
@@ -99,20 +100,40 @@ let test_invalid_params () =
 
 (* The CSR path (flat Dijkstra kernel, hit-count tables) against the
    hashed one (Netgraph, Heap, per-net exp): every bit of every net's
-   distance and flow, every visit count, the tree count. Each flow
-   starts with all distances at 1.0, so ties decide the early trees. *)
+   distance and flow, every visit count, the tree count, and the
+   settled, tree-net and decrease-key counters, which are equal only if
+   both paths made the same heap operations. Each flow starts with all
+   distances at 1.0, so ties decide the early trees. *)
 let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
 
+(* [f ()] under a fresh trace, with the totals of the flow counters *)
+let flow_counters f =
+  let tr = Obs.create () in
+  let r = Obs.with_installed tr f in
+  let total m =
+    List.fold_left
+      (fun acc ev ->
+        match ev with Obs.Count c when c.metric = m -> acc + c.value | _ -> acc)
+      0 (Obs.events tr)
+  in
+  (r, Obs.Metric.(total Flow_settled, total Flow_tree_nets, total Flow_decreases))
+
 let csr_matches_hashed ?(p = params) c seed =
   let g = To_graph.partition_view c in
-  let flat = Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create seed) in
-  let hashed = Flow.saturate g p (Prng.create seed) in
+  let flat, flat_counts =
+    flow_counters (fun () ->
+        Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create seed))
+  in
+  let hashed, hashed_counts =
+    flow_counters (fun () -> Flow.saturate g p (Prng.create seed))
+  in
   same_bits flat.Flow.distance hashed.Flow.distance
   && same_bits flat.Flow.flow hashed.Flow.flow
   && flat.Flow.visits = hashed.Flow.visits
   && flat.Flow.iterations = hashed.Flow.iterations
+  && flat_counts = hashed_counts
 
 let test_csr_matches_hashed_fixed () =
   Alcotest.(check bool) "s27" true (csr_matches_hashed (S27.circuit ()) 1L);
@@ -144,6 +165,36 @@ let test_csr_allocation () =
        r.Flow.iterations words)
     true (words < 4096.)
 
+(* Flow on heaps of hundreds of entries, which the small circuits above
+   never build. Each digest covers the bits of every distance and flow
+   and every visit count; it, the tree count and [flow.settled] were
+   recorded before the kernel's pop went bottom-up, and
+   [flow.decreases] from the hashed path (textbook [Heap]). *)
+let flow_digest (r : Flow.result) =
+  let b = Buffer.create 4096 in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) r.Flow.distance;
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) r.Flow.flow;
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) r.Flow.visits;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_csr_pinned () =
+  List.iter
+    (fun (name, digest, iterations, settled, decreases) ->
+      let g = To_graph.partition_view (Benchmarks.circuit name) in
+      let p = Params.with_lk 16 in
+      let r, (got_settled, _, got_decreases) =
+        flow_counters (fun () ->
+            Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create p.Params.seed))
+      in
+      Alcotest.(check string) (name ^ " digest") digest (flow_digest r);
+      Alcotest.(check int) (name ^ " trees") iterations r.Flow.iterations;
+      Alcotest.(check int) (name ^ " flow.settled") settled got_settled;
+      Alcotest.(check int) (name ^ " flow.decreases") decreases got_decreases)
+    [
+      ("s5378", "f985b0fe6dfbe43fe0fd9c9685698fe0", 1517, 2111382, 33106);
+      ("s9234.1", "4b8305126e42c760f94761aff17de917", 1529, 4503840, 83686);
+    ]
+
 let suite =
   [
     Alcotest.test_case "every vertex sampled" `Quick test_all_visited;
@@ -160,4 +211,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_csr_matches_hashed;
     Alcotest.test_case "csr saturation allocation (s5378)" `Quick
       test_csr_allocation;
+    Alcotest.test_case "csr flow pinned (s5378, s9234.1 at l_k 16)" `Quick
+      test_csr_pinned;
   ]
