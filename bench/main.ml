@@ -13,6 +13,7 @@ module Generator = Ppet_netlist.Generator
 module Segment = Ppet_netlist.Segment
 module To_graph = Ppet_netlist.To_graph
 module Netgraph = Ppet_digraph.Netgraph
+module Csr = Ppet_digraph.Csr
 module Prng = Ppet_digraph.Prng
 module Scc_budget = Ppet_retiming.Scc_budget
 module Cbit = Ppet_bist.Cbit
@@ -487,9 +488,10 @@ let bechamel_timings () =
   let c = Benchmarks.circuit "s1423" in
   let g = To_graph.partition_view c in
   let params = Params.with_lk 16 in
+  let csr = Csr.of_netgraph g in
   let sb = Scc_budget.create c g in
-  let flow = Flow.saturate g params (Prng.create 1L) in
-  let clustering = Cluster.make_group c g sb flow params in
+  let flow = Flow.saturate csr params (Prng.create 1L) in
+  let clustering = Cluster.make_group ~csr c g sb flow params in
   let sim = Simulator.create c in
   let seg =
     let r = merced "s510" 12 in
@@ -511,13 +513,13 @@ let bechamel_timings () =
         (Staged.stage (fun () ->
              Generator.generate (Benchmarks.find "s510").Benchmarks.profile));
       Test.make ~name:"table10-saturate-s1423"
-        (Staged.stage (fun () -> Flow.saturate g params (Prng.create 1L)));
+        (Staged.stage (fun () -> Flow.saturate csr params (Prng.create 1L)));
       Test.make ~name:"table10-cluster-s1423"
         (Staged.stage (fun () ->
-             Cluster.make_group c g sb flow params));
+             Cluster.make_group ~csr c g sb flow params));
       Test.make ~name:"table10-assign-s1423"
         (Staged.stage (fun () ->
-             Assign.run c g clustering params (Prng.create 1L)));
+             Assign.run ~csr c g clustering params (Prng.create 1L)));
       Test.make ~name:"table12-area-accounting"
         (Staged.stage (fun () ->
              Area.compute c sb
@@ -561,10 +563,10 @@ let bechamel_timings () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* fault-engine timings: seed serial loop vs cone-restricted engine    *)
+(* fault-engine timings: seed serial loop vs engine at 1 and 8 words  *)
 
 let bench_fault_engine () =
-  section "Fault engine: seed serial vs cone-restricted vs parallel";
+  section "Fault engine: seed serial vs the engine at 1 and 8 words, serial and parallel";
   (* one large PPET-partition-profile CUT: the several hundred
      topologically earliest combinational gates of the s5378 stand-in *)
   let c = Benchmarks.circuit "s5378" in
@@ -656,14 +658,14 @@ let bench_fault_engine () =
         (e.Report.median_ns /. 1e6) (per_fp e))
     [
       ("seed serial loop", seed);
-      ("cone-restricted, jobs 1", cone);
-      ("multi-word x8, jobs 1", multi);
-      ("parallel, jobs 4", par);
-      ("multi-word x8, jobs 4", par_multi);
+      ("engine x1, jobs 1", cone);
+      ("engine x8, jobs 1", multi);
+      ("engine x1, jobs 4", par);
+      ("engine x8, jobs 4", par_multi);
     ];
   Printf.printf
-    "speedup vs seed: %.1fx (jobs 1), %.1fx (jobs 4); multi-word vs \
-     single: %.1fx (jobs 1), %.1fx (jobs 4)\n"
+    "speedup vs seed: %.1fx (jobs 1), %.1fx (jobs 4); 8 words vs 1: \
+     %.1fx (jobs 1), %.1fx (jobs 4)\n"
     (seed.Report.median_ns /. cone.Report.median_ns)
     (seed.Report.median_ns /. par.Report.median_ns)
     (cone.Report.median_ns /. multi.Report.median_ns)

@@ -1,6 +1,6 @@
-(* Scratch harness for the campaign probe: times the single-word and
-   multi-word kernels on the largest Merced cluster of a benchmark
-   profile across word widths. Not part of any alias. *)
+(* Scratch harness for the campaign probe: times the fault kernel on
+   the largest Merced cluster of a benchmark profile across word
+   widths. Not part of any alias. *)
 
 module Circuit = Ppet_netlist.Circuit
 module Segment = Ppet_netlist.Segment

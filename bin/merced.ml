@@ -98,18 +98,6 @@ let write_circuit path c =
   if Filename.check_suffix path ".v" then Ppet_netlist.Verilog.to_file path c
   else Bench_writer.to_file path c
 
-let substrate_arg =
-  let doc =
-    "Graph substrate driving the pipeline: $(b,csr) (flat int-array \
-     adjacency, the default) or $(b,hashed) (the original per-vertex \
-     structures, kept as a debugging cross-check). Both produce \
-     identical partitions and identical feasible retimings; they may \
-     report different over-constrained cycles on infeasible systems."
-  in
-  Arg.(value
-       & opt (enum [ ("hashed", Params.Hashed); ("csr", Params.Csr) ]) Params.Csr
-       & info [ "substrate" ] ~docv:"KIND" ~doc)
-
 let fault_cutover_arg =
   let doc =
     "Fault-simulate segments with fewer member gates than $(docv) \
@@ -121,13 +109,11 @@ let fault_cutover_arg =
        & opt int Params.default.Params.fault_cutover
        & info [ "fault-cutover" ] ~docv:"GATES" ~doc)
 
-let params_of ?(substrate = Params.Csr)
-    ?(fault_cutover = Params.default.Params.fault_cutover)
+let params_of ?(fault_cutover = Params.default.Params.fault_cutover)
     ?(partitioner = Params.Flow) lk beta seed =
   validate_fault_cutover fault_cutover;
   { Params.default with
-    Params.l_k = lk; beta; seed = Int64.of_int seed; substrate; fault_cutover;
-    partitioner }
+    Params.l_k = lk; beta; seed = Int64.of_int seed; fault_cutover; partitioner }
 
 let partitioner_arg =
   let doc =
@@ -260,11 +246,11 @@ let locked_fn c names =
       names;
     Some (Hashtbl.mem ids)
 
-let partition_run spec lk beta seed substrate partitioner dispatch model lock
+let partition_run spec lk beta seed partitioner dispatch model lock
     csv verbose trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
-      let params = params_of ~substrate ~partitioner lk beta seed in
+      let params = params_of ~partitioner lk beta seed in
       let params =
         match dispatch_model dispatch model with
         | None -> params
@@ -298,7 +284,7 @@ let partition_cmd =
   Cmd.v
     (Cmd.info "partition" ~doc ~exits)
     Term.(const partition_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ partitioner_arg $ dispatch_arg $ model_arg
+          $ partitioner_arg $ dispatch_arg $ model_arg
           $ lock_arg $ csv $ verbose $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -336,11 +322,11 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* selftest                                                            *)
 
-let selftest_run spec lk beta seed substrate fault_cutover max_width dispatch
+let selftest_run spec lk beta seed fault_cutover max_width dispatch
     model jobs trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
-      let base = params_of ~substrate ~fault_cutover lk beta seed in
+      let base = params_of ~fault_cutover lk beta seed in
       (* body shared with `merced serve` for byte-identical replies *)
       with_jobs jobs (fun pool ->
           let params, words, pool =
@@ -369,20 +355,20 @@ let selftest_cmd =
   in
   Cmd.v (Cmd.info "selftest" ~doc ~exits)
     Term.(const selftest_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ fault_cutover_arg $ max_width $ dispatch_arg
+          $ fault_cutover_arg $ max_width $ dispatch_arg
           $ model_arg $ jobs_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
 
-let analyze_run spec lk beta seed substrate json jobs trace =
+let analyze_run spec lk beta seed json jobs trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
       (* body shared with `merced serve` for byte-identical replies *)
       with_jobs jobs (fun pool ->
           print_string
             (Serve_ops.analyze ?pool
-               ~params:(params_of ~substrate lk beta seed)
+               ~params:(params_of lk beta seed)
                ~json c)
               .Serve_ops.output))
 
@@ -400,15 +386,15 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc ~exits)
     Term.(const analyze_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ json $ jobs_arg $ trace_arg)
+          $ json $ jobs_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* insert                                                              *)
 
-let insert_run spec lk beta seed substrate output trace =
+let insert_run spec lk beta seed output trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
-      let r = Merced.run ~params:(params_of ~substrate lk beta seed) c in
+      let r = Merced.run ~params:(params_of lk beta seed) c in
       let t = Ppet_core.Testable.insert r in
       Printf.printf
         "inserted %d test cells in %d CBITs (+%.0f area units, %.1f/cell)\n"
@@ -438,15 +424,15 @@ let insert_cmd =
   in
   Cmd.v (Cmd.info "insert" ~doc ~exits)
     Term.(const insert_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ output $ trace_arg)
+          $ output $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* retime                                                              *)
 
-let retime_run spec lk beta seed substrate output trace =
+let retime_run spec lk beta seed output trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
-      let r = Merced.run ~params:(params_of ~substrate lk beta seed) c in
+      let r = Merced.run ~params:(params_of lk beta seed) c in
       match Merced.retimed_netlist r with
       | None -> prerr_endline "error: no legal retiming found"
       | Some (emitted, dropped) ->
@@ -485,17 +471,17 @@ let retime_cmd =
   in
   Cmd.v (Cmd.info "retime" ~doc ~exits)
     Term.(const retime_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ output $ trace_arg)
+          $ output $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dot                                                                 *)
 
-let dot_run spec lk beta seed substrate output partitioned trace =
+let dot_run spec lk beta seed output partitioned trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
       let text =
         if partitioned then begin
-          let r = Merced.run ~params:(params_of ~substrate lk beta seed) c in
+          let r = Merced.run ~params:(params_of lk beta seed) c in
           let drivers =
             List.map
               (fun e -> Ppet_digraph.Netgraph.net_src r.Merced.graph e)
@@ -527,19 +513,19 @@ let dot_cmd =
   in
   Cmd.v (Cmd.info "dot" ~doc ~exits)
     Term.(const dot_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ output $ partitioned $ trace_arg)
+          $ output $ partitioned $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
 
-let sweep_run spec lks beta seed substrate trace =
+let sweep_run spec lks beta seed trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
       Printf.printf "%-4s %9s %12s %9s %9s %12s %14s\n" "lk" "nets-cut"
         "cuts-on-SCC" "w/R(%)" "w/o(%)" "sigma(DFF)" "test-cycles";
       List.iter
         (fun lk ->
-          let r = Merced.run ~params:(params_of ~substrate lk beta seed) c in
+          let r = Merced.run ~params:(params_of lk beta seed) c in
           let b = r.Merced.breakdown in
           Printf.printf "%-4d %9d %12d %9.1f %9.1f %12.1f %14.3g\n" lk
             b.Ppet_core.Area_accounting.cuts_total
@@ -557,12 +543,12 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc ~exits)
     Term.(const sweep_run $ circuit_arg $ lks $ beta_arg $ seed_arg
-          $ substrate_arg $ trace_arg)
+          $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
-let check_run spec lk beta seed substrate sequences cycles trace =
+let check_run spec lk beta seed sequences cycles trace =
   wrap_status ?trace (fun () ->
       let c = load_circuit spec in
       let failures = ref 0 in
@@ -578,7 +564,7 @@ let check_run spec lk beta seed substrate sequences cycles trace =
            pass "round-trip" "writer -> parser is the identity"
          else fail "round-trip" "re-parsed netlist differs structurally"
        | exception Circuit.Error msg -> fail "round-trip" msg);
-      let r = Merced.run ~params:(params_of ~substrate lk beta seed) c in
+      let r = Merced.run ~params:(params_of lk beta seed) c in
       (* 2. retimed netlist vs the original, 3-valued *)
       (match Merced.retimed_netlist r with
        | None -> Printf.printf "%-11s skipped: no legal retiming\n" "retimed"
@@ -645,7 +631,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc ~exits)
     Term.(const check_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ sequences $ cycles $ trace_arg)
+          $ sequences $ cycles $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -697,7 +683,7 @@ let lint_list_rules () =
         r.Lint_registry.doc)
     Lint_registry.all
 
-let lint_run spec registry rules list_rules json verbose lk beta seed substrate
+let lint_run spec registry rules list_rules json verbose lk beta seed
     jobs trace =
   wrap_status ?trace (fun () ->
       if list_rules then begin
@@ -711,7 +697,7 @@ let lint_run spec registry rules list_rules json verbose lk beta seed substrate
         (match Lint_registry.validate_selection rules with
          | Ok () -> ()
          | Error msg -> raise (Circuit.Error msg));
-        let params = params_of ~substrate lk beta seed in
+        let params = params_of lk beta seed in
         let reports =
           with_jobs jobs (fun pool ->
               match (registry, spec) with
@@ -786,7 +772,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc ~exits)
     Term.(const lint_run $ circuit $ registry $ rules $ list_rules $ json
-          $ verbose $ lk_arg $ beta_arg $ seed_arg $ substrate_arg $ jobs_arg
+          $ verbose $ lk_arg $ beta_arg $ seed_arg $ jobs_arg
           $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1045,11 +1031,11 @@ let bench_cmd =
 (* ------------------------------------------------------------------ *)
 (* campaign                                                            *)
 
-let campaign_run profiles lk beta seed substrate fault_cutover words no_drop
+let campaign_run profiles lk beta seed fault_cutover words no_drop
     max_width min_coverage no_prune out probe probe_repeat dispatch model jobs
     trace =
   wrap_status ?trace (fun () ->
-      let params = params_of ~substrate ~fault_cutover lk beta seed in
+      let params = params_of ~fault_cutover lk beta seed in
       let plan =
         {
           Campaign.profiles;
@@ -1141,9 +1127,9 @@ let campaign_cmd =
   let probe =
     Arg.(value & opt (some string) None
          & info [ "probe" ] ~docv:"CIRCUIT"
-             ~doc:"Also measure single-word vs multi-word \
-                   per-fault-pattern throughput on this circuit and \
-                   record the ratio in the report.")
+             ~doc:"Also measure per-fault-pattern throughput at one \
+                   word per gate visit against --words on this circuit \
+                   and record the ratio in the report.")
   in
   let probe_repeat =
     Arg.(value & opt int Campaign.default_plan.Campaign.probe_repeat
@@ -1155,7 +1141,7 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc ~exits)
     Term.(const campaign_run $ profiles $ lk_arg $ beta_arg $ seed_arg
-          $ substrate_arg $ fault_cutover_arg $ words $ no_drop $ max_width
+          $ fault_cutover_arg $ words $ no_drop $ max_width
           $ min_coverage $ no_prune $ out_term $ probe $ probe_repeat
           $ dispatch_arg $ model_arg $ jobs_arg $ trace_arg)
 
@@ -1286,7 +1272,7 @@ let source_fields circuit =
   else [ ("circuit", Sjson.Str circuit) ]
 
 let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
-    ~substrate ~fault_cutover ~dispatch ~model ~verbose ~rules ~max_width
+    ~fault_cutover ~dispatch ~model ~verbose ~rules ~max_width
     ~benchmarks ~repeat ~ms ~timeout_ms ~progress =
   if stats then Sjson.Obj [ ("op", Sjson.Str "stats") ]
   else if shutdown then Sjson.Obj [ ("op", Sjson.Str "shutdown") ]
@@ -1296,8 +1282,6 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
         ("lk", Sjson.Num (float_of_int lk));
         ("beta", Sjson.Num (float_of_int beta));
         ("seed", Sjson.Num (float_of_int seed));
-        ( "substrate",
-          Sjson.Str (Params.substrate_name substrate) );
         ("fault_cutover", Sjson.Num (float_of_int fault_cutover));
       ]
       @ (match dispatch with
@@ -1375,13 +1359,13 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
       in
       Sjson.Obj (op_fields @ common)
 
-let submit_run socket op circuit suite stats shutdown lk beta seed substrate
+let submit_run socket op circuit suite stats shutdown lk beta seed
     fault_cutover dispatch model verbose rules max_width benchmarks repeat ms
     timeout_ms progress meta retry_for trace =
   wrap_status ?trace (fun () ->
       let req =
         submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
-          ~substrate ~fault_cutover ~dispatch ~model ~verbose ~rules
+          ~fault_cutover ~dispatch ~model ~verbose ~rules
           ~max_width ~benchmarks ~repeat ~ms ~timeout_ms ~progress
       in
       let on_progress ~stage phase =
@@ -1515,8 +1499,7 @@ let submit_cmd =
   in
   Cmd.v (Cmd.info "submit" ~doc ~exits)
     Term.(const submit_run $ socket_arg $ op $ circuit $ suite $ stats
-          $ shutdown $ lk_arg $ beta_arg $ seed_arg $ substrate_arg
-          $ fault_cutover_arg $ dispatch_arg $ model_arg $ verbose $ rules
+          $ shutdown $ lk_arg $ beta_arg $ seed_arg $ fault_cutover_arg $ dispatch_arg $ model_arg $ verbose $ rules
           $ max_width $ benchmarks $ repeat $ ms $ timeout_ms $ progress
           $ meta $ retry_for $ trace_arg)
 

@@ -7,6 +7,7 @@
    Run with: dune exec examples/compiler_tour.exe *)
 
 module Netgraph = Ppet_digraph.Netgraph
+module Csr = Ppet_digraph.Csr
 module Prng = Ppet_digraph.Prng
 module Circuit = Ppet_netlist.Circuit
 module To_graph = Ppet_netlist.To_graph
@@ -41,21 +42,23 @@ let () =
     (Scc_budget.n_components budget) loops
     (Scc_budget.dffs_on_scc budget);
 
-  (* STEP 3a: Saturate_Network (Table 3) *)
+  (* STEP 3a: Saturate_Network (Table 3), on a flat snapshot of the
+     frozen graph that the next two steps share *)
+  let csr = Csr.of_netgraph graph in
   let rng = Prng.create params.Params.seed in
-  let flow = Flow.saturate graph params rng in
+  let flow = Flow.saturate csr params rng in
   let boundaries = Flow.boundaries flow in
   Format.printf "STEP 3a: %d shortest-path trees, %d distinct congestion levels@."
     flow.Flow.iterations (List.length boundaries);
 
   (* STEP 3b: Make_Group (Tables 4-7) *)
-  let clustering = Cluster.make_group circuit graph budget flow params in
+  let clustering = Cluster.make_group ~csr circuit graph budget flow params in
   Format.printf "STEP 3b: %d clusters (used %d boundaries)@."
     (List.length clustering.Cluster.clusters)
     clustering.Cluster.boundaries_used;
 
   (* STEP 3c: Assign_CBIT (Table 8) *)
-  let assignment = Assign.run circuit graph clustering params rng in
+  let assignment = Assign.run ~csr circuit graph clustering params rng in
   Format.printf "STEP 3c: %d partitions after %d merges, %d cut nets@."
     (List.length assignment.Assign.partitions)
     assignment.Assign.merges

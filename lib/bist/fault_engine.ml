@@ -8,7 +8,7 @@ let word_mask = max_int
 
 let const_of stuck_at = if stuck_at then word_mask else 0
 
-(* Flat encoding of the combinational kinds for the multi-word kernel:
+(* Flat encoding of the combinational kinds for the kernel:
    code = (family lsl 1) lor negated, with families 0 = wire
    (BUFF/NOT), 1 = AND, 2 = OR, 3 = XOR. The inner loops dispatch on the
    family once per gate and fold the negation in as a final pass, so
@@ -27,13 +27,8 @@ let code_of = function
 
 type t = {
   c : Circuit.t;
-  seg : Segment.t;
-  inputs : int array;        (* Segment.input_signals, batch order *)
   seg_order : int array;     (* member combinational gates, topo order *)
   pos_of : int array;        (* node id -> position in seg_order, -1 *)
-  observed : bool array;     (* node id -> member observation point *)
-  last_reader : int array;   (* node id -> max position reading it, -1 *)
-  max_arity : int;
   cones : (int, int array) Hashtbl.t;
       (* fault-site node id -> member positions in its transitive
          fanout, ascending; the site itself is excluded (combinational
@@ -41,8 +36,8 @@ type t = {
          populated serially before each dispatch. *)
   cone_stamp : int array;    (* per position, for cone construction *)
   mutable cone_epoch : int;
-  (* --- flat view for the multi-word kernel: slot i < width is input
-     signal i, slot width + k is seg_order.(k) --- *)
+  (* --- flat view the kernel runs on: slot i < width is input signal
+     i, slot width + k is seg_order.(k) --- *)
   width : int;
   n_slots : int;
   slot_of : int array;       (* node id -> slot, -1 *)
@@ -76,19 +71,6 @@ let create sim (seg : Segment.t) =
   in
   let pos_of = Array.make n (-1) in
   Array.iteri (fun k id -> pos_of.(id) <- k) seg_order;
-  let observed = Array.make n false in
-  Array.iter (fun id -> observed.(id) <- true) seg.Segment.observed;
-  let last_reader = Array.make n (-1) in
-  let max_arity = ref 0 in
-  Array.iteri
-    (fun k id ->
-      let fanins = (Circuit.node c id).Circuit.fanins in
-      if Array.length fanins > !max_arity then
-        max_arity := Array.length fanins;
-      Array.iter
-        (fun f -> if last_reader.(f) < k then last_reader.(f) <- k)
-        fanins)
-    seg_order;
   let inputs = Segment.input_signals seg in
   let width = Array.length inputs in
   let n_pos = Array.length seg_order in
@@ -106,32 +88,25 @@ let create sim (seg : Segment.t) =
         fanin_off.(k) + Array.length (Circuit.node c id).Circuit.fanins)
     seg_order;
   let fanin_slot = Array.make (max fanin_off.(n_pos) 1) 0 in
+  (* positions ascend, so a slot's last reader is the last write *)
+  let last_rd = Array.make (max n_slots 1) (-1) in
   Array.iteri
     (fun k id ->
-      let fanins = (Circuit.node c id).Circuit.fanins in
       Array.iteri
         (fun j f ->
           (* every fan-in of a member is itself a member position or a
              segment input signal, so it always has a slot *)
-          fanin_slot.(fanin_off.(k) + j) <- slot_of.(f))
-        fanins)
+          let s = slot_of.(f) in
+          fanin_slot.(fanin_off.(k) + j) <- s;
+          last_rd.(s) <- k)
+        (Circuit.node c id).Circuit.fanins)
     seg_order;
   let obs_slot = Array.make (max n_slots 1) false in
   Array.iter (fun id -> obs_slot.(slot_of.(id)) <- true) seg.Segment.observed;
-  let last_rd = Array.make (max n_slots 1) (-1) in
-  Array.iteri (fun i id -> last_rd.(i) <- last_reader.(id)) inputs;
-  Array.iteri
-    (fun k id -> last_rd.(width + k) <- last_reader.(id))
-    seg_order;
   {
     c;
-    seg;
-    inputs;
     seg_order;
     pos_of;
-    observed;
-    last_reader;
-    max_arity = !max_arity;
     cones = Hashtbl.create 64;
     cone_stamp = Array.make (max n_pos 1) 0;
     cone_epoch = 0;
@@ -284,126 +259,7 @@ let coverage results =
     float_of_int det /. float_of_int (List.length results)
 
 (* ------------------------------------------------------------------ *)
-(* single-word kernel: per-worker scratch allocated once per dispatch,
-   reused across every fault and batch                                 *)
-
-type scratch = {
-  good : int array;          (* fault-free values of the current batch *)
-  faulty : int array;        (* valid only where stamp = epoch *)
-  stamp : int array;
-  mutable epoch : int;
-  ins : int array array;     (* arity -> reusable fan-in buffer *)
-  mutable evals : int;       (* gate-word evaluations performed *)
-}
-
-let make_scratch t =
-  let n = Circuit.size t.c in
-  {
-    good = Array.make (max n 1) 0;
-    faulty = Array.make (max n 1) 0;
-    stamp = Array.make (max n 1) 0;
-    epoch = 0;
-    ins = Array.init (t.max_arity + 1) (fun a -> Array.make (max a 1) 0);
-    evals = 0;
-  }
-
-let eval_good t s src ~batch =
-  for i = 0 to t.width - 1 do
-    s.good.(t.inputs.(i)) <- source_word src ~batch i
-  done;
-  let order = t.seg_order in
-  for k = 0 to Array.length order - 1 do
-    let id = order.(k) in
-    let nd = Circuit.node t.c id in
-    let fanins = nd.Circuit.fanins in
-    let a = Array.length fanins in
-    let buf = s.ins.(a) in
-    for j = 0 to a - 1 do
-      buf.(j) <- s.good.(fanins.(j))
-    done;
-    s.good.(id) <- Gate.eval_word nd.Circuit.kind buf
-  done;
-  s.evals <- s.evals + Array.length order
-
-(* One fault against the batch currently in [s.good]. Returns whether
-   some observed signal differs — exactly the seed criterion. *)
-let sim_fault t s (f : Fault.t) =
-  s.epoch <- s.epoch + 1;
-  let epoch = s.epoch in
-  let detected = ref false in
-  let max_reach = ref (-1) in
-  let mark id v =
-    s.faulty.(id) <- v;
-    s.stamp.(id) <- epoch;
-    if t.observed.(id) then detected := true
-    else if t.last_reader.(id) > !max_reach then max_reach := t.last_reader.(id)
-  in
-  let live =
-    match f.Fault.site with
-    | Fault.Output id ->
-      (* a stuck output — of a member gate, an inside PI, or a boundary
-         source — shows the constant to every reader *)
-      let v = const_of f.Fault.stuck_at in
-      if v = s.good.(id) then false
-      else begin
-        mark id v;
-        true
-      end
-    | Fault.Input_pin (gid, pin) ->
-      (* only the one gate sees the stuck pin; outside members the seed
-         never injects it *)
-      if t.pos_of.(gid) < 0 then false
-      else begin
-        let nd = Circuit.node t.c gid in
-        let fanins = nd.Circuit.fanins in
-        let a = Array.length fanins in
-        let buf = s.ins.(a) in
-        for j = 0 to a - 1 do
-          buf.(j) <- s.good.(fanins.(j))
-        done;
-        buf.(pin) <- const_of f.Fault.stuck_at;
-        let v = Gate.eval_word nd.Circuit.kind buf in
-        s.evals <- s.evals + 1;
-        if v = s.good.(gid) then false
-        else begin
-          mark gid v;
-          true
-        end
-      end
-  in
-  if live && not !detected then begin
-    let cone = cone t (root_of f) in
-    let len = Array.length cone in
-    let i = ref 0 in
-    (* positions ascend, so once the next position is past the furthest
-       reader of any changed signal the effect has converged *)
-    while (not !detected) && !i < len && cone.(!i) <= !max_reach do
-      let id = t.seg_order.(cone.(!i)) in
-      incr i;
-      let nd = Circuit.node t.c id in
-      let fanins = nd.Circuit.fanins in
-      let a = Array.length fanins in
-      let buf = s.ins.(a) in
-      let touched = ref false in
-      for j = 0 to a - 1 do
-        let fid = fanins.(j) in
-        if s.stamp.(fid) = epoch then begin
-          touched := true;
-          buf.(j) <- s.faulty.(fid)
-        end
-        else buf.(j) <- s.good.(fid)
-      done;
-      if !touched then begin
-        let v = Gate.eval_word nd.Circuit.kind buf in
-        s.evals <- s.evals + 1;
-        if v <> s.good.(id) then mark id v
-      end
-    done
-  end;
-  !detected
-
-(* ------------------------------------------------------------------ *)
-(* multi-word kernel: W pattern words per gate visit over a flat
+(* the kernel: W >= 1 pattern words per gate visit over a flat
    Bigarray value store (slot s occupies words [s*W .. s*W+W-1])       *)
 
 type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -708,9 +564,13 @@ let inject_pin t ms ~w ~gn p ~pin ~v =
   done;
   !diff
 
-(* One fault against the word group currently in [ms.mgood]. Per-word
-   semantics match [sim_fault] exactly: a quiet word of a marked slot
-   carries its good value, so it neither detects nor propagates.
+(* One fault against the word group currently in [ms.mgood]: a fault
+   is detected when some observed signal differs in some word, exactly
+   the seed criterion of [Fault_sim]. A quiet word of a marked slot
+   carries its good value, so it neither detects nor propagates. A
+   marked slot raises [mreach] to its furthest reader; positions
+   ascend, so once the next cone position is past [mreach] the effect
+   has converged.
    [fcone] is the fault's member cone, precomputed once per dispatch so
    the inner loop never touches the cone cache. *)
 let[@inline] mark t ms slot =
@@ -819,30 +679,6 @@ module Batch = struct
           worker wid lo hi)
     | _ -> worker 0 0 nf
 
-  let run_single pol t src nb fs verdict evals =
-    let worker wid lo hi =
-      if lo < hi then begin
-        let s = make_scratch t in
-        let undetected = ref (hi - lo) in
-        let batch = ref 0 in
-        while !batch < nb && not (pol.drop = Drop && !undetected = 0) do
-          eval_good t s src ~batch:!batch;
-          for i = lo to hi - 1 do
-            match pol.drop with
-            | Drop ->
-              if (not verdict.(i)) && sim_fault t s fs.(i) then begin
-                verdict.(i) <- true;
-                decr undetected
-              end
-            | Keep -> if sim_fault t s fs.(i) then verdict.(i) <- true
-          done;
-          incr batch
-        done;
-        evals.(wid) <- evals.(wid) + s.evals
-      end
-    in
-    dispatch pol t (Array.length fs) worker
-
   let run_multi pol t src nb fs verdict evals =
     let w = pol.words in
     (* cones resolved once, outside the group x fault loops (the cache
@@ -907,8 +743,7 @@ module Batch = struct
       match pol.pool with Some p -> Domain_pool.jobs p | None -> 1
     in
     let evals = Array.make (max jobs 1) 0 in
-    if pol.words = 1 then run_single pol t src nb fs verdict evals
-    else run_multi pol t src nb fs verdict evals;
+    run_multi pol t src nb fs verdict evals;
     let n_detected = ref 0 in
     for i = 0 to nf - 1 do
       if verdict.(i) then incr n_detected

@@ -19,16 +19,16 @@
       differs (detected) or no changed signal has a remaining reader
       (the fault effect converged back to the good machine — undetected
       for this batch);
-    - {b word batching}: with [policy.words = W > 1] the engine runs a
-      flat Bigarray kernel that evaluates W pattern words per gate
-      visit, amortising the per-gate dispatch (kind decode, fan-in
-      gathering, cone bookkeeping) that dominates the single-word loop;
+    - {b word batching}: one flat Bigarray kernel evaluates
+      [policy.words = W] pattern words per gate visit, amortising the
+      per-gate dispatch (kind decode, fan-in gathering, cone
+      bookkeeping) over W words; [W = 1] runs the same kernel;
     - {b fault dropping}: under {!Batch.Drop} a fault detected by one
       word group is retired immediately, so late patterns only simulate
       the surviving (hard or redundant) faults;
     - {b allocation-free steady state}: each worker owns one scratch set
-      (good values, epoch-stamped faulty values, fan-in buffers) reused
-      across every fault and pattern batch;
+      (good and epoch-stamped faulty value planes) reused across every
+      fault and word group;
     - {b deterministic parallelism}: the fault list is sharded into
       contiguous, index-ordered chunks across the domains of a
       {!Ppet_parallel.Domain_pool.t}; each fault's verdict depends only
@@ -38,9 +38,9 @@
 
 type t
 (** A fault-simulation engine prepared for one (simulator, segment)
-    pair: member topological order, observability and last-reader
-    indices, the fault-cone cache, and the flat slot/CSR-fan-in view the
-    multi-word kernel runs on. *)
+    pair: member topological order, the fault-cone cache, and the flat
+    slot/CSR-fan-in view (with per-slot observability and last-reader
+    indices) the kernel runs on. *)
 
 val create : Simulator.t -> Ppet_netlist.Segment.t -> t
 (** Precompute the per-segment indices. Raises [Invalid_argument] if a
@@ -117,9 +117,8 @@ module Batch : sig
 
   type policy = {
     words : int;
-        (** pattern words evaluated per gate visit. [1] selects the
-            scalar int-array kernel; [>= 2] the flat Bigarray multi-word
-            kernel. *)
+        (** pattern words evaluated per gate visit, [>= 1]. Every width
+            runs the same kernel; verdicts do not depend on it. *)
     pool : Ppet_parallel.Domain_pool.t option;
         (** fault-partition parallelism; [None] (or a 1-job pool) runs
             on the calling domain *)

@@ -4,7 +4,7 @@
     machine, one word batch at a time; a fault is detected when any
     observed signal differs in any bit position. Quadratic and slow by
     design: the qcheck differential properties check the production
-    {!Fault_engine.Batch} kernels (single-word, multi-word, dropped or
+    {!Fault_engine.Batch} kernel (at several word widths, dropped or
     not, at any job count) bit-for-bit against this loop. Production
     code must go through {!Fault_engine.Batch.run}. *)
 

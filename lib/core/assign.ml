@@ -20,80 +20,6 @@ type t = {
   merges : int;
 }
 
-(* A live cluster during the greedy pass: membership and entering-net
-   tables are kept incrementally so scoring a merge costs
-   O(|entering A| + |entering B|). *)
-type live = {
-  mutable members : int list;
-  member_set : (int, unit) Hashtbl.t;
-  mutable entering : (int, unit) Hashtbl.t;  (* nets with source outside *)
-  mutable n_pis : int;
-  mutable from : int;   (* Make_Group clusters absorbed *)
-  was_oversize : bool;
-  was_locked : bool;
-  mutable dead : bool;
-}
-
-let live_iota l = Hashtbl.length l.entering + l.n_pis
-
-let live_of_cluster c g (cl : Cluster.cluster) =
-  let member_set = Hashtbl.create (Array.length cl.Cluster.vertices) in
-  Array.iter (fun v -> Hashtbl.replace member_set v ()) cl.Cluster.vertices;
-  let entering = Hashtbl.create 16 in
-  let n_pis = ref 0 in
-  Array.iter
-    (fun v ->
-      if (Circuit.node c v).Circuit.kind = Gate.Input then incr n_pis;
-      Array.iter
-        (fun e ->
-          if not (Hashtbl.mem member_set (Netgraph.net_src g e)) then
-            Hashtbl.replace entering e ())
-        (Netgraph.in_nets g v))
-    cl.Cluster.vertices;
-  {
-    members = Array.to_list cl.Cluster.vertices;
-    member_set;
-    entering;
-    n_pis = !n_pis;
-    from = 1;
-    was_oversize = cl.Cluster.oversize;
-    was_locked = cl.Cluster.locked;
-    dead = false;
-  }
-
-(* iota of the union, and how many entering nets the merge removes. *)
-let score_merge g a b =
-  let union_entering = Hashtbl.create 16 in
-  let scan src_tbl other e =
-    let src = Netgraph.net_src g e in
-    if not (Hashtbl.mem other src || Hashtbl.mem src_tbl src) then
-      Hashtbl.replace union_entering e ()
-  in
-  Hashtbl.iter (fun e () -> scan a.member_set b.member_set e) a.entering;
-  Hashtbl.iter (fun e () -> scan b.member_set a.member_set e) b.entering;
-  let iota = Hashtbl.length union_entering + a.n_pis + b.n_pis in
-  let removed =
-    Hashtbl.length a.entering + Hashtbl.length b.entering
-    - Hashtbl.length union_entering
-  in
-  (iota, removed)
-
-let merge_into g a b =
-  (* grow a by b; b dies *)
-  let union_entering = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace a.member_set v ()) b.members;
-  let keep e =
-    if not (Hashtbl.mem a.member_set (Netgraph.net_src g e)) then
-      Hashtbl.replace union_entering e ()
-  in
-  Hashtbl.iter (fun e () -> keep e) a.entering;
-  Hashtbl.iter (fun e () -> keep e) b.entering;
-  a.members <- List.rev_append b.members a.members;
-  a.entering <- union_entering;
-  a.n_pis <- a.n_pis + b.n_pis;
-  a.from <- a.from + b.from;
-  b.dead <- true
-
 let finalize g partitions merges =
   let partitions =
     List.sort
@@ -110,93 +36,9 @@ let finalize g partitions merges =
   let cut_nets = Components.cut_nets g partition_of in
   { partitions; partition_of; cut_nets; merges }
 
-let run_hashed c g (clustering : Cluster.t) (p : Params.t) rng =
-  let live =
-    Array.of_list
-      (List.map (live_of_cluster c g) clustering.Cluster.clusters)
-  in
-  let n = Array.length live in
-  let merges = ref 0 in
-  let partitions = ref [] in
-  (* candidate index sample for one greedy step *)
-  let candidates_for exclude =
-    let cap = p.Params.max_merge_candidates in
-    let alive = ref [] and count = ref 0 in
-    for i = n - 1 downto 0 do
-      if (not live.(i).dead) && (not live.(i).was_locked) && i <> exclude
-      then begin
-        alive := i :: !alive;
-        incr count
-      end
-    done;
-    if !count <= cap then !alive
-    else begin
-      (* clusters are sorted by iota descending, so the tail holds the
-         smallest (likeliest to fit); always keep those, sample the rest *)
-      let arr = Array.of_list !alive in
-      let tail = Array.sub arr (Array.length arr - (cap / 2)) (cap / 2) in
-      let head = Array.sub arr 0 (Array.length arr - (cap / 2)) in
-      Prng.shuffle rng head;
-      Array.to_list (Array.append tail (Array.sub head 0 (cap - (cap / 2))))
-    end
-  in
-  let extract_max () =
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      if not live.(i).dead then
-        if !best < 0 || live_iota live.(i) > live_iota live.(!best) then
-          best := i
-    done;
-    if !best < 0 then None else Some !best
-  in
-  let rec outer () =
-    match extract_max () with
-    | None -> ()
-    | Some oi ->
-      let o = live.(oi) in
-      o.dead <- true;
-      (* keep o out of future candidate lists but merge into it; locked
-         regions are emitted untouched *)
-      let continue = ref true in
-      while (not o.was_locked) && !continue && live_iota o < p.Params.l_k do
-        let best = ref None in
-        List.iter
-          (fun gi ->
-            let gcl = live.(gi) in
-            let iota, removed = score_merge g o gcl in
-            if iota <= p.Params.l_k then begin
-              let gain = p.Params.l_k - iota in
-              match !best with
-              | Some (bg, br, _) when (bg, br) >= (gain, removed) -> ()
-              | Some _ | None -> best := Some (gain, removed, gi)
-            end)
-          (candidates_for oi);
-        match !best with
-        | None -> continue := false
-        | Some (_, _, gi) ->
-          merge_into g o live.(gi);
-          incr merges
-      done;
-      let vertices = Array.of_list o.members in
-      Array.sort compare vertices;
-      partitions :=
-        {
-          vertices;
-          input_count = live_iota o;
-          merged_from = o.from;
-          oversize = o.was_oversize;
-          locked = o.was_locked;
-        }
-        :: !partitions;
-      outer ()
-  in
-  outer ();
-  finalize g !partitions !merges
+(* The greedy pass.
 
-(* ------------------------------------------------------------------ *)
-(* Flat path.
-
-   The greedy pass has a structural invariant the hashed code never
+   It has a structural invariant a table-per-cluster formulation never
    exploits: only the current growing partition [o] ever mutates, and
    [o] is marked dead before the scan, so every cluster still in the
    live set carries the iota it was born with. Make_Group emits the
@@ -213,17 +55,15 @@ let run_hashed c g (clustering : Cluster.t) (p : Params.t) rng =
    candidate is one sweep of the candidate's own set, with no hashing
    and no allocation.
 
-   One deliberate divergence from the hashed path, documented in
-   DESIGN.md: when more than max_merge_candidates clusters are alive,
-   the hashed code shuffles the whole candidate head to sample from it;
-   at scale this costs one rng draw per live cluster per greedy step.
-   Here a partial Fisher-Yates draws only the sample actually kept.
-   Results differ from the hashed substrate only on circuits exceeding
-   the cap, and the larger paper benchmarks do: at l_k 16, s5378 forms
-   ~2 000 clusters and s38417 ~15 000 against the default cap of
-   1 500. *)
+   Above max_merge_candidates live clusters, a partial Fisher-Yates
+   draws only the sample actually kept, instead of shuffling the whole
+   candidate head (one rng draw per live cluster per greedy step). The
+   hashtable formulation kept as the test oracle shuffles the whole
+   head, so the two agree only below the cap, and the larger paper
+   benchmarks exceed it: at l_k 16, s5378 forms ~2 000 clusters and
+   s38417 ~15 000 against the default cap of 1 500. *)
 
-let run_flat csr c g (clustering : Cluster.t) (p : Params.t) rng =
+let run ~csr c g (clustering : Cluster.t) (p : Params.t) rng =
   if Csr.n_nodes csr <> Netgraph.n_nodes g || Csr.n_nets csr <> Netgraph.n_nets g
   then invalid_arg "Assign.run: csr snapshot does not match graph";
   let m = Csr.n_nets csr in
@@ -495,8 +335,3 @@ let run_flat csr c g (clustering : Cluster.t) (p : Params.t) rng =
       :: !partitions
   done;
   finalize g !partitions !merges
-
-let run ?csr c g (clustering : Cluster.t) (p : Params.t) rng =
-  match csr with
-  | None -> run_hashed c g clustering p rng
-  | Some csr -> run_flat csr c g clustering p rng

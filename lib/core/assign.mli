@@ -23,24 +23,24 @@ type t = {
 }
 
 val run :
-  ?csr:Ppet_digraph.Csr.t ->
+  csr:Ppet_digraph.Csr.t ->
   Ppet_netlist.Circuit.t ->
   Ppet_digraph.Netgraph.t ->
   Cluster.t ->
   Params.t ->
   Ppet_digraph.Prng.t ->
   t
-(** When more than [max_merge_candidates] clusters remain, each greedy
+(** [csr] is a snapshot of [g]: membership is an owner array, scoring
+    sweeps stamped entering-net arrays, with no hashing and no
+    allocation per scored candidate.
+
+    When more than [max_merge_candidates] clusters remain, each greedy
     step scores a deterministic random sample of that size (plus the
     smallest clusters, which are the likeliest mergees) instead of the
-    whole list — the quality/speed knob documented in Params.
-
-    [csr] (a snapshot of [g]) switches the pass onto the flat substrate:
-    owner-array membership, stamped entering-net scoring, no hashing and
-    no allocation per scored candidate. Below the candidate cap the
-    result is identical to the hashed path; above it the two paths draw
-    the random sample differently (the flat one with a partial
-    Fisher-Yates costing only the draws it keeps) and may pick different
-    merges. The cap is not a corner case: at [l_k = 16] the s5378
-    profile already forms ~2 000 clusters, s38417 ~15 000. Raises
-    [Invalid_argument] on a size mismatch between [csr] and [g]. *)
+    whole list — the quality/speed knob documented in Params. The
+    sample is a partial Fisher-Yates costing only the draws it keeps.
+    The cap is not a corner case: at [l_k = 16] the s5378 profile
+    already forms ~2 000 clusters, s38417 ~15 000. Below the cap the
+    result equals the hashtable formulation the test suite keeps as
+    its oracle. Raises [Invalid_argument] on a size mismatch between
+    [csr] and [g]. *)

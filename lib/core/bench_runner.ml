@@ -131,26 +131,22 @@ let run ?(progress = fun _ -> ()) plan =
         end
       in
       let sb = Scc_budget.create c g in
-      (* measure the stages on the substrate the params select, exactly
-         as Merced.run would drive them *)
-      let csr =
-        match params.Params.substrate with
-        | Params.Hashed -> None
-        | Params.Csr -> Some (Ppet_digraph.Csr.of_netgraph g)
-      in
+      (* the stages on the flat snapshot, exactly as Merced.run drives
+         them *)
+      let csr = Ppet_digraph.Csr.of_netgraph g in
       let flow_entry =
         measure ~jobs:1 "flow" (fun () ->
-            ignore (Flow.saturate ?csr g params (Prng.create 1L)))
+            ignore (Flow.saturate csr params (Prng.create 1L)))
       in
-      let flow = Flow.saturate ?csr g params (Prng.create 1L) in
+      let flow = Flow.saturate csr params (Prng.create 1L) in
       let cluster_entry =
         measure ~jobs:1 "cluster" (fun () ->
-            ignore (Cluster.make_group ?csr c g sb flow params))
+            ignore (Cluster.make_group ~csr c g sb flow params))
       in
-      let clustering = Cluster.make_group ?csr c g sb flow params in
+      let clustering = Cluster.make_group ~csr c g sb flow params in
       let assign_entry =
         measure ~jobs:1 "assign" (fun () ->
-            ignore (Assign.run ?csr c g clustering params (Prng.create 1L)))
+            ignore (Assign.run ~csr c g clustering params (Prng.create 1L)))
       in
       let r = Merced.run ~params c in
       let retime_entry =
@@ -173,16 +169,9 @@ let run ?(progress = fun _ -> ()) plan =
           baseline_entry "partition_random" Baseline_random.run;
         ]
       in
-      (* the dataflow fixed-point stack always runs on the flat graph,
-         whatever substrate the partition params picked *)
-      let acsr =
-        match csr with
-        | Some x -> x
-        | None -> Ppet_digraph.Csr.of_netgraph g
-      in
       let analysis_entry =
         measure ~jobs:1 "analysis" (fun () ->
-            let sched = Ppet_analysis.Dataflow.prepare acsr in
+            let sched = Ppet_analysis.Dataflow.prepare csr in
             let constants = Ppet_analysis.Ternary.constants sched c in
             ignore (Ppet_analysis.Ternary.initializable sched c ~constants);
             ignore (Ppet_analysis.Scoap.compute sched c ~constants))
@@ -199,8 +188,8 @@ let run ?(progress = fun _ -> ()) plan =
         match fault_workload c sim with
         | None -> serial
         | Some (engine, patterns, faults) ->
-          (* words = 1 keeps this entry comparable with pre-batch-engine
-             baselines: same per-fault-pattern work, same kernel shape *)
+          (* words = 1: one pattern word per gate visit, the
+             per-fault-pattern work of the committed baselines *)
           let policy ?(words = 1) pool =
             Fault_engine.Batch.policy ~words ?pool
               ~drop:Fault_engine.Batch.Keep

@@ -16,6 +16,18 @@ type plan = {
 val default_plan : plan
 (** s27, s510, s420.1, s641 at [repeat = 5], [jobs = 2]. *)
 
+val fault_workload :
+  Ppet_netlist.Circuit.t ->
+  Ppet_bist.Simulator.t ->
+  (Ppet_bist.Fault_engine.t
+  * Ppet_bist.Fault_engine.Batch.patterns
+  * Ppet_bist.Fault.t list)
+  option
+(** The workload of the [fault_sim*] rows: the (up to) 400 lowest-id
+    combinational gates as one segment, its collapsed faults, and eight
+    word batches from a fixed PRNG stream. [None] when the circuit has
+    no combinational gate. *)
+
 val entry_names : plan -> Report.bench_entry list
 (** The rows {!run} would measure, in order, with [median_ns]/[mad_ns]
     zeroed — the [--dry-run] view. Fault-sim rows appear once per

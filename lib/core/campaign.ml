@@ -224,7 +224,8 @@ let run_circuit ?pool plan name =
 let probe_batches = 64
 
 (* The throughput probe: a fixed fault-simulation workload timed once
-   with the single-word kernel and once at [plan.words]. The segment is
+   at one pattern word per gate visit and once at [plan.words]. The
+   segment is
    the largest Merced cluster of the probe circuit — the campaign's own
    unit of work, and the regime that matters: interior gates are
    unobserved, so a fault must propagate through the member cone to a

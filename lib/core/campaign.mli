@@ -37,8 +37,9 @@ type plan = {
           which testable faults detect — it only removes guaranteed
           misses from the workload and the coverage denominator *)
   probe : string option;
-      (** measure single-word vs multi-word per-fault-pattern throughput
-          on this circuit and record it in the report *)
+      (** measure per-fault-pattern throughput at one word per gate
+          visit against [words] on this circuit and record it in the
+          report *)
   probe_repeat : int; (** probe timing repetitions (median of) *)
   dispatch : Cost_model.t option;
       (** [--dispatch auto]: decide partitioner, word width, pool use

@@ -35,30 +35,6 @@ let input_count_of c g ~inside vertices =
     vertices;
   Hashtbl.length entering + !pis
 
-(* Remove the nets of [vertices] whose distance reaches [boundary],
-   honouring the per-SCC budget: a removal inside component comp is
-   allowed only while c(comp) < beta * f(comp); beyond that the net is
-   forced kept forever (Table 7, STEP 2.1.2.1). *)
-let remove_at st g sb beta ~distance vertices boundary =
-  let removed, forced, cuts = st in
-  Array.iter
-    (fun v ->
-      Array.iter
-        (fun e ->
-          if (not removed.(e)) && (not forced.(e)) && distance.(e) >= boundary
-          then begin
-            match Scc_budget.net_scc sb e with
-            | None -> removed.(e) <- true
-            | Some comp ->
-              if cuts.(comp) < beta * Scc_budget.registers sb comp then begin
-                cuts.(comp) <- cuts.(comp) + 1;
-                removed.(e) <- true
-              end
-              else forced.(e) <- true
-          end)
-        (Netgraph.out_nets g v))
-    vertices
-
 let finalize n finished removed forced cuts boundaries_used =
   let clusters =
     List.sort
@@ -79,88 +55,17 @@ let finalize n finished removed forced cuts boundaries_used =
     boundaries_used;
   }
 
-let make_group_hashed ~locked c g sb (flow : Flow.result) (p : Params.t) =
-  let n = Netgraph.n_nodes g in
-  let m = Netgraph.n_nets g in
-  let removed = Array.make m false in
-  let forced = Array.make m false in
-  let cuts = Array.make (Scc_budget.n_components sb) 0 in
-  let st = (removed, forced, cuts) in
-  let distance = flow.Flow.distance in
-  let boundaries = Array.of_list (Flow.boundaries flow) in
-  let n_bounds = Array.length boundaries in
-  let inside_of vertices =
-    let tbl = Hashtbl.create (Array.length vertices) in
-    Array.iter (fun v -> Hashtbl.replace tbl v ()) vertices;
-    fun v -> Hashtbl.mem tbl v
-  in
-  let iota vertices = input_count_of c g ~inside:(inside_of vertices) vertices in
-  let keep e = not removed.(e) in
-  (* work queue of (vertices, next boundary index to try) *)
-  let finished = ref [] in
-  let queue = Queue.create () in
-  let boundaries_used = ref 0 in
-  (* locked vertices form one untouchable cluster, set aside up front *)
-  let locked_vertices = ref [] in
-  let free_vertices = ref [] in
-  for v = n - 1 downto 0 do
-    if locked v then locked_vertices := v :: !locked_vertices
-    else free_vertices := v :: !free_vertices
-  done;
-  let locked_vertices = Array.of_list !locked_vertices in
-  if Array.length locked_vertices > 0 then
-    finished :=
-      [ {
-          vertices = locked_vertices;
-          input_count = iota locked_vertices;
-          oversize = false;
-          locked = true;
-        } ];
-  let initial = Array.of_list !free_vertices in
-  if n_bounds > 0 && Array.length initial > 0 then begin
-    remove_at st g sb p.Params.beta ~distance initial boundaries.(0);
-    boundaries_used := 1
-  end;
-  Array.iter
-    (fun piece -> Queue.add (piece, 1) queue)
-    (Components.restrict g ~vertices:initial ~keep);
-  while not (Queue.is_empty queue) do
-    let vertices, next_b = Queue.pop queue in
-    let iota_v = iota vertices in
-    if iota_v <= p.Params.l_k then
-      finished :=
-        { vertices; input_count = iota_v; oversize = false; locked = false }
-        :: !finished
-    else if next_b >= n_bounds then
-      finished :=
-        { vertices; input_count = iota_v; oversize = true; locked = false }
-        :: !finished
-    else begin
-      boundaries_used := max !boundaries_used (next_b + 1);
-      remove_at st g sb p.Params.beta ~distance vertices boundaries.(next_b);
-      let pieces = Components.restrict g ~vertices ~keep in
-      match pieces with
-      | [| single |] when Array.length single = Array.length vertices ->
-        (* no net could be removed at this boundary; go deeper *)
-        Queue.add (vertices, next_b + 1) queue
-      | _ ->
-        Array.iter (fun piece -> Queue.add (piece, next_b + 1) queue) pieces
-    end
-  done;
-  finalize n !finished removed forced cuts !boundaries_used
+(* The splitting loop.
 
-(* ------------------------------------------------------------------ *)
-(* Flat path.
+   The paper's formulation is a work queue of (piece, next boundary
+   index): a synchronized breadth-first walk over boundary indices in
+   which every live piece visits boundary t before any piece visits
+   t+1, including the no-op visits where none of the piece's live nets
+   reaches the boundary. Those no-op visits dominate on large circuits:
+   each costs an O(piece) iota plus a restrict, repeated once per
+   boundary value. (The queue form is kept as the test oracle.)
 
-   The queue formulation above is a synchronized breadth-first walk over
-   boundary indices: the FIFO holds at most two consecutive phase values,
-   so every live piece visits boundary t before any piece visits t+1 —
-   including the no-op visits where none of the piece's live nets reaches
-   the boundary (the single-full-piece branch). Those no-op visits
-   dominate on large circuits: each costs an O(piece) iota plus an
-   O(all nets) restrict, repeated once per boundary value.
-
-   The flat path skips straight to each piece's next effective boundary.
+   This loop skips straight to each piece's next effective boundary.
    This is sound because pieces are vertex-disjoint and a net belongs to
    its source vertex, so the removed/forced state of a piece's out-nets
    changes only through the piece's own actions: the first index j >=
@@ -247,7 +152,9 @@ let heap_pop h =
   done;
   top
 
-let make_group_flat ~locked csr c g sb (flow : Flow.result) (p : Params.t) =
+let make_group ?(locked = fun _ -> false) ~csr c g sb (flow : Flow.result)
+    (p : Params.t) =
+  Ppet_obs.Obs.span "cluster.make_group" @@ fun () ->
   let n = Netgraph.n_nodes g in
   let m = Netgraph.n_nets g in
   if Csr.n_nodes csr <> n || Csr.n_nets csr <> m then
@@ -393,12 +300,5 @@ let make_group_flat ~locked csr c g sb (flow : Flow.result) (p : Params.t) =
         pieces
   done;
   finalize n !finished removed forced cuts !boundaries_used
-
-let make_group ?(locked = fun _ -> false) ?csr c g sb (flow : Flow.result)
-    (p : Params.t) =
-  Ppet_obs.Obs.span "cluster.make_group" @@ fun () ->
-  match csr with
-  | None -> make_group_hashed ~locked c g sb flow p
-  | Some csr -> make_group_flat ~locked csr c g sb flow p
 
 let cut_nets t g = Components.cut_nets g t.cluster_of

@@ -37,7 +37,7 @@ val input_count_of :
 
 val make_group :
   ?locked:(int -> bool) ->
-  ?csr:Ppet_digraph.Csr.t ->
+  csr:Ppet_digraph.Csr.t ->
   Ppet_netlist.Circuit.t ->
   Ppet_digraph.Netgraph.t ->
   Ppet_retiming.Scc_budget.t ->
@@ -49,14 +49,14 @@ val make_group :
     that is never split (its nets are never removed) and never merged,
     exactly the lock option of the paper's [Make_Set] (Table 5).
 
-    [csr] (a {!Ppet_digraph.Csr.of_netgraph} snapshot of [g]) switches
-    the splitting loop onto the flat substrate: pieces jump straight to
-    their next effective boundary instead of revisiting every boundary
-    value, drained from a heap that replays the queue formulation's
-    exact action order (see the lineage-label argument in the
-    implementation). The result — clusters, removed/forced nets, cut
-    budgets, boundaries_used — is identical. Raises [Invalid_argument]
-    on a size mismatch between [csr] and [g]. *)
+    [csr] is a {!Ppet_digraph.Csr.of_netgraph} snapshot of [g]. Pieces
+    jump straight to their next effective boundary instead of revisiting
+    every boundary value, drained from a heap that replays the paper's
+    queue formulation in its exact action order (see the lineage-label
+    argument in the implementation). The result — clusters,
+    removed/forced nets, cut budgets, boundaries_used — is the queue
+    formulation's, which the test suite keeps as the oracle. Raises
+    [Invalid_argument] on a size mismatch between [csr] and [g]. *)
 
 val cut_nets : t -> Ppet_digraph.Netgraph.t -> int list
 (** Nets whose source and some sink lie in different clusters — the

@@ -22,20 +22,16 @@ type result = {
   iterations : int;        (** shortest-path trees computed *)
 }
 
-val saturate :
-  ?csr:Ppet_digraph.Csr.t ->
-  Ppet_digraph.Netgraph.t -> Params.t -> Ppet_digraph.Prng.t -> result
+val saturate : Ppet_digraph.Csr.t -> Params.t -> Ppet_digraph.Prng.t -> result
 (** Runs until every vertex reaches [min_visit] visits or
     [max_iterations] trees have been injected.
 
-    [csr] (a snapshot of the same graph) runs the trees on
-    {!Ppet_digraph.Dijkstra.Flat}, which also counts each tree net's
-    hit and its sinks' visits, and reads each net's new flow and
-    distance from tables indexed by how many trees have used it, so the
-    loop allocates nothing per tree. The result is bit-identical to the
-    path without [csr]: the same trees, the same [+. delta] sums, the
-    same [exp]. Both paths record the [Flow_tree_nets], [Flow_settled],
-    [Flow_decreases] and [Flow_iterations] counters, with equal values. *)
+    The trees run on {!Ppet_digraph.Dijkstra.Flat} over the snapshot,
+    which also counts each tree net's hit and its sinks' visits; each
+    net's new flow and distance are read from tables indexed by how
+    many trees have used it, so the loop allocates nothing per tree.
+    Records the [Flow_tree_nets], [Flow_settled], [Flow_decreases] and
+    [Flow_iterations] counters. *)
 
 val boundaries : result -> float list
 (** Distinct distance values, descending — the stack D of Table 4. *)

@@ -46,14 +46,8 @@ let run ?(params = Params.default) ?locked circuit =
       m "STEP 1 %s: %d vertices, %d nets" circuit.Circuit.title
         (Netgraph.n_nodes graph) (Netgraph.n_nets graph));
   (* Flat snapshot of the frozen graph: the saturation, clustering and
-     assignment stages all relax over its rows when the substrate is
-     Csr; under Hashed they fall back to the Netgraph queries. *)
-  let csr =
-    match params.Params.substrate with
-    | Params.Hashed -> None
-    | Params.Csr ->
-      Some (Obs.span "merced.csr" (fun () -> Csr.of_netgraph graph))
-  in
+     assignment stages all relax over its rows. *)
+  let csr = Obs.span "merced.csr" (fun () -> Csr.of_netgraph graph) in
   (* STEP 2: strongly connected components *)
   let budget = Obs.span "merced.scc_budget" (fun () -> Scc_budget.create circuit graph) in
   Log.debug (fun m ->
@@ -69,17 +63,17 @@ let run ?(params = Params.default) ?locked circuit =
   let flow, clustering, assignment =
     match params.Params.partitioner with
     | Params.Flow ->
-      let flow = Flow.saturate ?csr graph params rng in
+      let flow = Flow.saturate csr params rng in
       Log.debug (fun m ->
           m "STEP 3a: %d shortest-path trees injected" flow.Flow.iterations);
       let clustering =
-        Cluster.make_group ?locked ?csr circuit graph budget flow params
+        Cluster.make_group ?locked ~csr circuit graph budget flow params
       in
       Log.debug (fun m ->
           m "STEP 3b: %d clusters" (List.length clustering.Cluster.clusters));
       let assignment =
         Obs.span "merced.assign" (fun () ->
-            Assign.run ?csr circuit graph clustering params rng)
+            Assign.run ~csr circuit graph clustering params rng)
       in
       (flow, clustering, assignment)
     | (Params.Fm | Params.Annealing | Params.Random) as p ->
@@ -197,44 +191,29 @@ let solve_requirements r =
   let require e =
     if required.(rg.Rgraph.edges.(e).Rgraph.tail) then 1 else 0
   in
-  (* One flat solver reused across the whole drop loop when on the CSR
-     substrate: the constraint arcs and scratch are built once, each
-     attempt only refreshes the arc lengths. The substrates agree on
-     feasibility and on every feasible rho (the canonical cold
-     fixpoint); on infeasible attempts they may report different — and
-     differently many — over-constrained cycles, because the flat solver
-     detects them early and returns every cycle of its predecessor
-     forest at once, so the two drop sequences can retire different
-     requirement sets. Both are sound: each reported cycle is a genuine
-     negative cycle of the system it was found in, and the equivalence
-     oracles (merced check, the fuzzer, the lint certificate) hold for
-     either. *)
-  let solve =
-    match r.params.Params.substrate with
-    | Params.Hashed ->
-      fun () ->
-        (match Retime.solve rg ~require with
-         | Retime.Feasible rho -> Ok rho
-         | Retime.Infeasible cycle -> Error [ cycle ])
-    | Params.Csr ->
-      let solver = Retime.Solver.create rg in
-      (* Each aborted attempt resumes from its own label state (warm),
-         so a round costs only the relaxations past the previous abort
-         instead of a full cold solve. Warm fixpoints are feasible but
-         not canonical, so once a warm attempt converges we re-solve
-         cold for the rho the hashed substrate would also produce. *)
-      let warm = ref None in
-      fun () ->
-        (match Retime.Solver.run_cycles solver ?warm:!warm ~require with
-         | Error cycles ->
-           warm := Some (Retime.Solver.potentials solver);
-           Error cycles
-         | Ok rho ->
-           (match !warm with
-            | None -> Ok rho
-            | Some _ ->
-              warm := None;
-              Retime.Solver.run_cycles solver ~require))
+  (* One flat solver reused across the whole drop loop: the constraint
+     arcs and scratch are built once, each attempt only refreshes the
+     arc lengths. An infeasible attempt reports every cycle of the
+     solver's predecessor forest at once; each is a genuine negative
+     cycle of the system it was found in. Each aborted attempt resumes
+     from its own label state (warm), so a round costs only the
+     relaxations past the previous abort instead of a full cold solve.
+     Warm fixpoints are feasible but not canonical, so once a warm
+     attempt converges we re-solve cold for the canonical rho (the one
+     the reference solver [Retime.solve] also produces). *)
+  let solver = Retime.Solver.create rg in
+  let warm = ref None in
+  let solve () =
+    match Retime.Solver.run_cycles solver ?warm:!warm ~require with
+    | Error cycles ->
+      warm := Some (Retime.Solver.potentials solver);
+      Error cycles
+    | Ok rho ->
+      (match !warm with
+       | None -> Ok rho
+       | Some _ ->
+         warm := None;
+         Retime.Solver.run_cycles solver ~require)
   in
   let dropped = ref 0 in
   let rec attempt () =

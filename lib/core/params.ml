@@ -1,7 +1,3 @@
-type substrate = Hashed | Csr
-
-let substrate_name = function Hashed -> "hashed" | Csr -> "csr"
-
 type partitioner = Flow | Fm | Annealing | Random
 
 let partitioner_name = function
@@ -29,7 +25,6 @@ type t = {
   seed : int64;
   max_iterations : int;
   max_merge_candidates : int;
-  substrate : substrate;
   fault_cutover : int;
   partitioner : partitioner;
 }
@@ -45,7 +40,6 @@ let default =
     seed = 0x4DACL;
     max_iterations = 20_000;
     max_merge_candidates = 1_500;
-    substrate = Csr;
     fault_cutover = 128;
     partitioner = Flow;
   }
@@ -69,10 +63,10 @@ let validate p =
    compiles onto one cache entry. *)
 let fingerprint p =
   Printf.sprintf
-    "b=%h;mv=%d;a=%h;d=%h;beta=%d;lk=%d;seed=%Ld;mi=%d;mmc=%d;sub=%s;fc=%d;part=%s"
+    "b=%h;mv=%d;a=%h;d=%h;beta=%d;lk=%d;seed=%Ld;mi=%d;mmc=%d;fc=%d;part=%s"
     p.capacity p.min_visit p.alpha p.delta p.beta p.l_k p.seed
-    p.max_iterations p.max_merge_candidates (substrate_name p.substrate)
-    p.fault_cutover (partitioner_name p.partitioner)
+    p.max_iterations p.max_merge_candidates p.fault_cutover
+    (partitioner_name p.partitioner)
 
 let pp ppf p =
   Format.fprintf ppf

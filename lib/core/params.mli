@@ -5,16 +5,6 @@
     unrestricted), and input constraints [l_k] of 16 (Table 10) or 24
     (Table 11). *)
 
-type substrate =
-  | Hashed  (** the original hashtable/array-of-arrays graph paths *)
-  | Csr     (** flat int-indexed CSR adjacency with reused workspaces *)
-(** Graph-core selection. Both substrates compute identical results (the
-    CSR paths replicate the hashed iteration orders exactly); [Hashed]
-    remains available as a differential-debugging reference while the
-    fuzzer soaks the flat paths. *)
-
-val substrate_name : substrate -> string
-
 type partitioner =
   | Flow       (** the paper's multicommodity-flow pipeline (Tables 3-7) *)
   | Fm         (** multi-way Fiduccia-Mattheyses ({!Baseline_fm}) *)
@@ -45,7 +35,6 @@ type t = {
   max_iterations : int;   (** safety bound on flow-injection rounds *)
   max_merge_candidates : int;
       (** Assign_CBIT candidate scan cap per step (quality/speed knob) *)
-  substrate : substrate;  (** graph-core implementation (default [Csr]) *)
   fault_cutover : int;
       (** fault-simulation segments with fewer member gates than this
           run serially even when a pool is supplied (default 128, the

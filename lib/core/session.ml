@@ -87,16 +87,14 @@ let run ?(max_burst = 1024) ?faults ?(observe_pos = true) ?pool (t : Testable.t)
   and fb_en = pin t.Testable.fb_en
   and psa_en = pin t.Testable.psa_en
   and scan_in = pin t.Testable.scan_in in
-  (* deterministic functional input stimulus, shared across passes *)
+  (* deterministic functional input stimulus, shared across passes:
+     one bit per PI per cycle, broadcast to every lane, so the good
+     machine and each faulty one see the same inputs *)
   let rng_master = Ppet_digraph.Prng.create 0x5E55L in
   let stimulus =
     Array.init burst (fun _ ->
         Array.map
-          (fun _ ->
-            Int64.to_int
-              (Int64.logand
-                 (Ppet_digraph.Prng.next_int64 rng_master)
-                 (Int64.of_int word_mask)))
+          (fun _ -> if Ppet_digraph.Prng.bool rng_master then word_mask else 0)
           original.Circuit.inputs)
   in
   let passes =

@@ -12,7 +12,9 @@
 
     Fault simulation is bit-sliced: lane 0 carries the good machine and
     each of the remaining word lanes a different faulty machine, so one
-    simulation pass evaluates 61 faults. Coverage here is {e measured},
+    simulation pass evaluates 61 faults. The functional stimulus is one
+    random bit per primary input per cycle, broadcast to every lane, so
+    the good machine and each faulty one see the same inputs. Coverage here is {e measured},
     not inferred: data-dependent PSA patterns forfeit the per-segment
     pseudo-exhaustive guarantee (validated separately by
     {!Ppet_bist.Pet}), and faults whose effects never reach a CBIT or a

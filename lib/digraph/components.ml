@@ -38,31 +38,12 @@ let weak g ~keep =
       if keep e then Array.iter (fun v -> Union_find.union uf src v) sinks);
   of_union_find uf n
 
-let restrict g ~vertices ~keep =
-  let inside = Hashtbl.create (Array.length vertices) in
-  Array.iteri (fun i v -> Hashtbl.replace inside v i) vertices;
-  let m = Array.length vertices in
-  let uf = Union_find.create m in
-  Netgraph.iter_nets g (fun e ~src ~sinks ->
-      if keep e then
-        match Hashtbl.find_opt inside src with
-        | None -> ()
-        | Some i ->
-          Array.iter
-            (fun v ->
-              match Hashtbl.find_opt inside v with
-              | Some j -> Union_find.union uf i j
-              | None -> ())
-            sinks);
-  let part = of_union_find uf m in
-  Array.map (fun idxs -> Array.map (fun i -> vertices.(i)) idxs) part.members
-
-(* Piece-local [restrict]: same contract, but iterates only the piece's
-   own out-nets instead of every net of the graph. The clustering loop
-   re-splits pieces thousands of times; with the global scan each split
-   costs O(|nets|), which is quadratic over a whole run. Only nets whose
-   SOURCE lies inside connect (exactly as [restrict]): a net entering
-   from outside joins nothing, even between its inside sinks. *)
+(* Iterates only the piece's own out-nets instead of every net of the
+   graph. The clustering loop re-splits pieces thousands of times; with
+   a global scan each split would cost O(|nets|), quadratic over a
+   whole run. Only nets whose SOURCE lies inside connect: a net
+   entering from outside joins nothing, even between its inside
+   sinks. *)
 let restrict_csr csr ws ~vertices ~keep =
   let k = Array.length vertices in
   let stamp = Csr.fresh_stamp ws in

@@ -15,18 +15,15 @@ val weak : Netgraph.t -> keep:(int -> bool) -> partition
     nets satisfying [keep]. Vertices touched by no kept net form singleton
     clusters. Cluster ids are assigned by smallest member vertex. *)
 
-val restrict : Netgraph.t -> vertices:int array -> keep:(int -> bool) -> int array array
-(** [restrict g ~vertices ~keep] computes weak components of the subgraph
-    induced by [vertices], connecting only through kept nets both of whose
-    touched endpoints lie inside [vertices]. *)
-
 val restrict_csr :
   Csr.t -> Csr.workspace -> vertices:int array -> keep:(int -> bool) ->
   int array array
-(** {!restrict} over a flat snapshot, touching only the piece's own
-    out-nets — O(piece + its pins) instead of O(all nets) per call.
-    Pieces come out in the same order (ids by smallest member) with the
-    same vertex order as {!restrict}. The workspace must belong to
+(** [restrict_csr csr ws ~vertices ~keep] computes weak components of
+    the subgraph induced by [vertices], connecting only through kept
+    nets whose source and sink both lie inside [vertices]. It touches
+    only the piece's own out-nets: O(piece + its pins) per call. Pieces
+    are numbered by their first vertex in [vertices], and each lists
+    its members in [vertices] order. The workspace must belong to
     [csr]. *)
 
 val cut_nets : Netgraph.t -> int array -> int list

@@ -323,7 +323,7 @@ module Solver = struct
           over-constrained loop of the current system) but NOT
           canonical: a warm feasible answer is whatever fixpoint the
           start point leads to, so only cold runs are used where
-          cross-substrate identity of the result matters. *)
+          the canonical result matters. *)
        if Array.length potential <> n then
          invalid_arg "Retime.Solver.run: warm potential of wrong length";
        Array.blit potential 0 dist 0 n;

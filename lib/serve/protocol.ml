@@ -62,14 +62,6 @@ let params_of_json j =
     | Some s -> Int64.of_int s
     | None -> d.Params.seed
   in
-  let* substrate =
-    match Json.str_member "substrate" j with
-    | None -> Ok d.Params.substrate
-    | Some "csr" -> Ok Params.Csr
-    | Some "hashed" -> Ok Params.Hashed
-    | Some other ->
-      Error (Printf.sprintf "substrate must be \"csr\" or \"hashed\", not %S" other)
-  in
   let fault_cutover =
     Option.value ~default:d.Params.fault_cutover
       (Json.int_member "fault_cutover" j)
@@ -89,7 +81,7 @@ let params_of_json j =
   in
   let p =
     { d with
-      Params.l_k = lk; beta; seed; substrate; fault_cutover; partitioner }
+      Params.l_k = lk; beta; seed; fault_cutover; partitioner }
   in
   match Params.validate p with Ok () -> Ok p | Error msg -> Error msg
 

@@ -21,8 +21,8 @@
     A circuit is either [circuit] (a spec the server resolves: "s27", a
     benchmark name, a server-side path) or [bench] (inline .bench text,
     with optional [title] and [file] for diagnostics parity). Params
-    fields [lk], [beta], [seed], [substrate], [fault_cutover],
-    [partitioner] default to the CLI defaults. [dispatch] = "auto" with
+    fields [lk], [beta], [seed], [fault_cutover], [partitioner] default
+    to the CLI defaults; keys the protocol does not know are ignored. [dispatch] = "auto" with
     [model] (inline COST_MODEL.json text — the daemon may run on
     another machine, so the model ships with the request) enables
     per-circuit auto-dispatch; the parsed model rides on the request

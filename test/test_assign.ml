@@ -16,9 +16,10 @@ let run_pipeline ?(l_k = 3) c =
   let sb = Scc_budget.create c g in
   let params = { Params.default with Params.l_k } in
   let rng = Prng.create 2L in
-  let flow = Flow.saturate g params rng in
-  let clustering = Cluster.make_group c g sb flow params in
-  let a = Assign.run c g clustering params rng in
+  let csr = Csr.of_netgraph g in
+  let flow = Flow.saturate csr params rng in
+  let clustering = Cluster.make_group ~csr c g sb flow params in
+  let a = Assign.run ~csr c g clustering params rng in
   (g, params, clustering, a)
 
 let test_partitions_cover () =
@@ -73,10 +74,11 @@ let test_merging_never_hurts_cuts () =
   let sb = Scc_budget.create c g in
   let params = { Params.default with Params.l_k = 6 } in
   let rng = Prng.create 4L in
-  let flow = Flow.saturate g params rng in
-  let clustering = Cluster.make_group c g sb flow params in
+  let csr = Csr.of_netgraph g in
+  let flow = Flow.saturate csr params rng in
+  let clustering = Cluster.make_group ~csr c g sb flow params in
   let before = List.length (Cluster.cut_nets clustering g) in
-  let a = Assign.run c g clustering params rng in
+  let a = Assign.run ~csr c g clustering params rng in
   Alcotest.(check bool) "merge helps" true (List.length a.Assign.cut_nets <= before)
 
 let test_paper_example_shape () =
@@ -100,9 +102,10 @@ let prop_valid_partitions =
       let sb = Scc_budget.create c g in
       let params = { Params.default with Params.l_k } in
       let rng = Prng.create (Int64.of_int (seed * 3)) in
-      let flow = Flow.saturate g params rng in
-      let clustering = Cluster.make_group c g sb flow params in
-      let a = Assign.run c g clustering params rng in
+      let csr = Csr.of_netgraph g in
+      let flow = Flow.saturate csr params rng in
+      let clustering = Cluster.make_group ~csr c g sb flow params in
+      let a = Assign.run ~csr c g clustering params rng in
       let seen = Array.make (Netgraph.n_nodes g) 0 in
       List.iter
         (fun p -> Array.iter (fun v -> seen.(v) <- seen.(v) + 1) p.Assign.vertices)
@@ -112,8 +115,8 @@ let prop_valid_partitions =
            (fun p -> p.Assign.oversize || p.Assign.input_count <= l_k)
            a.Assign.partitions)
 
-(* Below the candidate cap the hashed path is the flat path's oracle:
-   same partitions, same cut nets, same merge count. *)
+(* Below the candidate cap the hashed formulation is Assign.run's
+   oracle: same partitions, same cut nets, same merge count. *)
 let prop_flat_matches_hashed =
   QCheck.Test.make ~name:"flat assign = hashed assign below the cap" ~count:30
     QCheck.(pair (int_bound 10_000) (int_range 4 12))
@@ -125,17 +128,18 @@ let prop_flat_matches_hashed =
       let g = To_graph.partition_view c in
       let params = { Params.default with Params.l_k } in
       let rng = Prng.create (Int64.of_int seed) in
-      let flow = Flow.saturate g params rng in
-      let clustering = Cluster.make_group c g (Scc_budget.create c g) flow params in
-      let hashed = Assign.run c g clustering params (Prng.copy rng) in
-      let flat =
-        Assign.run ~csr:(Csr.of_netgraph g) c g clustering params (Prng.copy rng)
+      let csr = Csr.of_netgraph g in
+      let flow = Flow.saturate csr params rng in
+      let clustering =
+        Cluster.make_group ~csr c g (Scc_budget.create c g) flow params
       in
+      let hashed = Hashed_oracle.assign c g clustering params (Prng.copy rng) in
+      let flat = Assign.run ~csr c g clustering params (Prng.copy rng) in
       flat.Assign.partition_of = hashed.Assign.partition_of
       && flat.Assign.cut_nets = hashed.Assign.cut_nets
       && flat.Assign.merges = hashed.Assign.merges)
 
-(* The flat path above the candidate cap, where the hashed path draws
+(* Assign.run above the candidate cap, where the hashed oracle draws
    its sample differently and is no oracle. Saturation and clustering
    as in Merced.run at l_k 16; the assignment then runs at the default
    cap and at 8. s5378 forms ~2 000 clusters and s9234.1 ~3 900, so
@@ -153,7 +157,7 @@ let flat_pipeline =
       let csr = Csr.of_netgraph g in
       let p = Params.with_lk 16 in
       let rng = Prng.create p.Params.seed in
-      let flow = Flow.saturate ~csr g p rng in
+      let flow = Flow.saturate csr p rng in
       let clustering =
         Cluster.make_group ~csr c g (Scc_budget.create c g) flow p
       in

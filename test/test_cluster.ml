@@ -2,6 +2,7 @@ module Cluster = Ppet_core.Cluster
 module Flow = Ppet_core.Flow
 module Params = Ppet_core.Params
 module Netgraph = Ppet_digraph.Netgraph
+module Csr = Ppet_digraph.Csr
 module Prng = Ppet_digraph.Prng
 module Circuit = Ppet_netlist.Circuit
 module To_graph = Ppet_netlist.To_graph
@@ -9,17 +10,22 @@ module Scc_budget = Ppet_retiming.Scc_budget
 module Generator = Ppet_netlist.Generator
 module S27 = Ppet_netlist.S27
 
+let saturate g params rng = Flow.saturate (Csr.of_netgraph g) params rng
+
+let make_group ?locked c g sb flow params =
+  Cluster.make_group ?locked ~csr:(Csr.of_netgraph g) c g sb flow params
+
 let setup ?(l_k = 3) ?(beta = 50) c =
   let g = To_graph.partition_view c in
   let sb = Scc_budget.create c g in
   let params = { Params.default with Params.l_k; beta } in
-  let flow = Flow.saturate g params (Prng.create 2L) in
+  let flow = saturate g params (Prng.create 2L) in
   (g, sb, params, flow)
 
 let test_s27_clusters_respect_lk () =
   let c = S27.circuit () in
   let g, sb, params, flow = setup c in
-  let t = Cluster.make_group c g sb flow params in
+  let t = make_group c g sb flow params in
   List.iter
     (fun cl ->
       if not cl.Cluster.oversize then
@@ -30,7 +36,7 @@ let test_s27_clusters_respect_lk () =
 let test_clusters_partition_vertices () =
   let c = S27.circuit () in
   let g, sb, params, flow = setup c in
-  let t = Cluster.make_group c g sb flow params in
+  let t = make_group c g sb flow params in
   let seen = Array.make (Netgraph.n_nodes g) 0 in
   List.iter
     (fun cl -> Array.iter (fun v -> seen.(v) <- seen.(v) + 1) cl.Cluster.vertices)
@@ -43,7 +49,7 @@ let test_clusters_partition_vertices () =
 let test_sorted_descending () =
   let c = S27.circuit () in
   let g, sb, params, flow = setup c in
-  let t = Cluster.make_group c g sb flow params in
+  let t = make_group c g sb flow params in
   let rec desc = function
     | a :: (b :: _ as tl) ->
       a.Cluster.input_count >= b.Cluster.input_count && desc tl
@@ -68,8 +74,8 @@ let test_beta_one_limits_scc_cuts () =
   let c = Generator.small_random ~seed:5L ~n_pi:4 ~n_dff:6 ~n_gates:40 in
   let g, sb, _, _ = setup c in
   let params = { Params.default with Params.l_k = 4; Params.beta = 1 } in
-  let flow = Flow.saturate g params (Prng.create 2L) in
-  let t = Cluster.make_group c g sb flow params in
+  let flow = saturate g params (Prng.create 2L) in
+  let t = make_group c g sb flow params in
   Array.iteri
     (fun comp used ->
       if Scc_budget.is_loop sb comp then
@@ -83,8 +89,8 @@ let test_forced_nets_uncut () =
   let c = Generator.small_random ~seed:5L ~n_pi:4 ~n_dff:6 ~n_gates:40 in
   let g, sb, _, _ = setup c in
   let params = { Params.default with Params.l_k = 4; Params.beta = 1 } in
-  let flow = Flow.saturate g params (Prng.create 2L) in
-  let t = Cluster.make_group c g sb flow params in
+  let flow = saturate g params (Prng.create 2L) in
+  let t = make_group c g sb flow params in
   Array.iteri
     (fun e forced ->
       if forced then
@@ -94,7 +100,7 @@ let test_forced_nets_uncut () =
 let test_cut_nets_cross_clusters () =
   let c = S27.circuit () in
   let g, sb, params, flow = setup c in
-  let t = Cluster.make_group c g sb flow params in
+  let t = make_group c g sb flow params in
   List.iter
     (fun e ->
       let src = Netgraph.net_src g e in
@@ -127,12 +133,52 @@ let prop_constraint_holds =
       let g = To_graph.partition_view c in
       let sb = Scc_budget.create c g in
       let params = { Params.default with Params.l_k } in
-      let flow = Flow.saturate g params (Prng.create (Int64.of_int seed)) in
-      let t = Cluster.make_group c g sb flow params in
+      let flow = saturate g params (Prng.create (Int64.of_int seed)) in
+      let t = make_group c g sb flow params in
       List.for_all
         (fun cl ->
           cl.Cluster.oversize || cl.Cluster.input_count <= l_k)
         t.Cluster.clusters)
+
+(* Cluster.make_group against the queue formulation it replays, on
+   every field of the result: the clusters with their iota, oversize
+   and locked flags, cluster_of, the removed and forced nets, the
+   per-SCC cut counts and boundaries_used. beta 1 makes the per-SCC
+   cut budget run out, so nets get forced kept. *)
+let prop_matches_queue_oracle =
+  QCheck.Test.make ~name:"make_group = queue oracle on every field" ~count:60
+    QCheck.(triple (int_bound 10_000) (int_range 3 10) bool)
+    (fun (seed, l_k, tight) ->
+      let c =
+        Generator.small_random ~seed:(Int64.of_int (seed + 7))
+          ~n_pi:(3 + (seed mod 4)) ~n_dff:(2 + (seed mod 7))
+          ~n_gates:(20 + (seed mod 60))
+      in
+      let g = To_graph.partition_view c in
+      let sb = Scc_budget.create c g in
+      let params =
+        { Params.default with Params.l_k; beta = (if tight then 1 else 50) }
+      in
+      let flow = saturate g params (Prng.create (Int64.of_int seed)) in
+      let check what locked =
+        let flat = make_group ?locked c g sb flow params in
+        let oracle = Hashed_oracle.make_group ?locked c g sb flow params in
+        let field name eq =
+          if not eq then
+            QCheck.Test.fail_reportf "%s: %s differs from the oracle" what name
+        in
+        field "clusters" (flat.Cluster.clusters = oracle.Cluster.clusters);
+        field "cluster_of" (flat.Cluster.cluster_of = oracle.Cluster.cluster_of);
+        field "removed" (flat.Cluster.removed = oracle.Cluster.removed);
+        field "forced_kept"
+          (flat.Cluster.forced_kept = oracle.Cluster.forced_kept);
+        field "cuts_used" (flat.Cluster.cuts_used = oracle.Cluster.cuts_used);
+        field "boundaries_used"
+          (flat.Cluster.boundaries_used = oracle.Cluster.boundaries_used)
+      in
+      check "unlocked" None;
+      check "locked" (Some (fun v -> v mod 5 = seed mod 5));
+      true)
 
 let suite =
   [
@@ -145,6 +191,7 @@ let suite =
     Alcotest.test_case "cut nets cross clusters" `Quick test_cut_nets_cross_clusters;
     Alcotest.test_case "large l_k needs no cuts" `Quick test_lk_large_single_cluster;
     QCheck_alcotest.to_alcotest prop_constraint_holds;
+    QCheck_alcotest.to_alcotest prop_matches_queue_oracle;
   ]
 
 (* appended: the lock option of Table 5 *)
@@ -153,7 +200,7 @@ let test_locked_cluster_preserved () =
   let ids = [ Circuit.find c "G8"; Circuit.find c "G15"; Circuit.find c "G16" ] in
   let locked v = List.mem v ids in
   let g, sb, params, flow = setup c in
-  let t = Cluster.make_group ~locked c g sb flow params in
+  let t = make_group ~locked c g sb flow params in
   let locked_clusters =
     List.filter (fun cl -> cl.Cluster.locked) t.Cluster.clusters
   in

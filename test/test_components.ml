@@ -1,5 +1,6 @@
 module Netgraph = Ppet_digraph.Netgraph
 module Components = Ppet_digraph.Components
+module Csr = Ppet_digraph.Csr
 module Union_find = Ppet_digraph.Union_find
 module Traverse = Ppet_digraph.Traverse
 
@@ -37,12 +38,23 @@ let test_weak_ignores_direction () =
 
 let test_restrict () =
   let g, _, _, _ = chain () in
-  let pieces = Components.restrict g ~vertices:[| 0; 1; 3 |] ~keep:(fun _ -> true) in
+  let csr = Csr.of_netgraph g in
+  let restrict vertices ~keep =
+    let flat = Components.restrict_csr csr (Csr.workspace csr) ~vertices ~keep in
+    Alcotest.(check (array (array int))) "restrict_csr = hashed oracle"
+      (Hashed_oracle.restrict g ~vertices ~keep) flat;
+    flat
+  in
+  let pieces = restrict [| 0; 1; 3 |] ~keep:(fun _ -> true) in
   (* 0-1 connected inside, 3 separate (2 not in the subset) *)
   Alcotest.(check int) "two pieces" 2 (Array.length pieces);
   let sizes = Array.map Array.length pieces in
   Array.sort compare sizes;
-  Alcotest.(check (array int)) "sizes" [| 1; 2 |] sizes
+  Alcotest.(check (array int)) "sizes" [| 1; 2 |] sizes;
+  (* unsorted subset, a removed net, and a net entering from outside *)
+  ignore (restrict [| 3; 1; 2; 0 |] ~keep:(fun e -> e <> 1));
+  ignore (restrict [| 3; 2 |] ~keep:(fun _ -> true));
+  ignore (restrict [| 1; 3 |] ~keep:(fun _ -> true))
 
 let test_cut_nets () =
   let g, e0, e1, e2 = chain () in

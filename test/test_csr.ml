@@ -1,5 +1,6 @@
-(* The CSR substrate against its two oracles: the hashed Netgraph it
-   snapshots, and the hashed retiming solver it replaces. *)
+(* The CSR snapshot against its oracles: the hashed Netgraph it
+   snapshots, the hashed retiming solver the flat one replaces, and the
+   hashed partitioning pipeline. *)
 
 module Netgraph = Ppet_digraph.Netgraph
 module Csr = Ppet_digraph.Csr
@@ -9,6 +10,7 @@ module Rgraph = Ppet_retiming.Rgraph
 module Retime = Ppet_retiming.Retime
 module Merced = Ppet_core.Merced
 module Params = Ppet_core.Params
+module Assign = Ppet_core.Assign
 module Dft_rules = Ppet_lint.Dft_rules
 module Diag = Ppet_lint.Diag
 
@@ -74,7 +76,7 @@ let prop_solver_agreement =
       (match (Retime.solve rg ~require, Retime.Solver.run solver ~require) with
        | Retime.Feasible rho_h, Retime.Feasible rho_c ->
          if rho_h <> rho_c then
-           QCheck.Test.fail_report "feasible rhos differ between substrates";
+           QCheck.Test.fail_report "feasible rhos differ between solvers";
          if not (Retime.is_legal rg rho_c) then
            QCheck.Test.fail_report "flat solver rho is not legal";
          Array.iteri
@@ -88,7 +90,7 @@ let prop_solver_agreement =
            QCheck.Test.fail_report "empty infeasibility witness"
        | Retime.Feasible _, Retime.Infeasible _
        | Retime.Infeasible _, Retime.Feasible _ ->
-         QCheck.Test.fail_report "substrates disagree on feasibility");
+         QCheck.Test.fail_report "solvers disagree on feasibility");
       true)
 
 (* A feasible potential fed back as the warm start is already a fixpoint:
@@ -112,38 +114,35 @@ let prop_warm_fixpoint =
               QCheck.Test.fail_report "warm start moved a feasible fixpoint"));
       true)
 
-(* End-to-end oracle: compile under both substrates; each certificate
-   must satisfy the lint checker's independent re-derivation of the
-   Leiserson-Saxe conditions. The partitions must agree exactly (the
-   drop loops may keep different requirement sets, the partitions never
-   differ). *)
-let prop_certificates_cross_substrate =
-  QCheck.Test.make ~name:"both substrates yield lint-clean certificates"
+(* End-to-end: Merced.run's retiming certificate must satisfy the lint
+   checker's independent re-derivation of the Leiserson-Saxe
+   conditions, and its partitions must equal those of the hashed oracle
+   pipeline (saturate, make_group, assign over the Netgraph). *)
+let prop_certificates_and_oracle_partitions =
+  QCheck.Test.make
+    ~name:"CSR certificates are lint-clean, and partitions equal the oracle \
+           pipeline's"
     ~count:12
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let c = circuit_of_seed seed in
-      let check substrate =
-        let params = { Params.default with Params.substrate; l_k = 5 } in
-        let r = Merced.run ~params c in
-        (match Merced.retiming_certificate r with
-         | None -> ()
-         | Some cert ->
-           let findings =
-             List.filter Diag.is_finding
-               (Dft_rules.retiming_legality r (Some cert))
-           in
-           if findings <> [] then
-             QCheck.Test.fail_reportf "%s certificate rejected: %s"
-               (Params.substrate_name substrate)
-               (Diag.to_human (List.hd findings)));
-        List.map
-          (fun (p : Ppet_core.Assign.partition) ->
-            Array.to_list p.Ppet_core.Assign.vertices)
-          r.Merced.assignment.Ppet_core.Assign.partitions
+      let params = { Params.default with Params.l_k = 5 } in
+      let r = Merced.run ~params c in
+      (match Merced.retiming_certificate r with
+       | None -> ()
+       | Some cert ->
+         let findings =
+           List.filter Diag.is_finding
+             (Dft_rules.retiming_legality r (Some cert))
+         in
+         if findings <> [] then
+           QCheck.Test.fail_reportf "certificate rejected: %s"
+             (Diag.to_human (List.hd findings)));
+      let vertices (a : Assign.t) =
+        List.map (fun (p : Assign.partition) -> p.Assign.vertices) a.Assign.partitions
       in
-      if check Params.Hashed <> check Params.Csr then
-        QCheck.Test.fail_report "partitions differ between substrates";
+      if vertices r.Merced.assignment <> vertices (Hashed_oracle.partition c params)
+      then QCheck.Test.fail_report "partitions differ from the oracle pipeline";
       true)
 
 let suite =
@@ -151,5 +150,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_adjacency;
     QCheck_alcotest.to_alcotest prop_solver_agreement;
     QCheck_alcotest.to_alcotest prop_warm_fixpoint;
-    QCheck_alcotest.to_alcotest prop_certificates_cross_substrate;
+    QCheck_alcotest.to_alcotest prop_certificates_and_oracle_partitions;
   ]

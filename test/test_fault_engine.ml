@@ -310,6 +310,30 @@ let test_pack_ragged_final_chunk () =
     Alcotest.(check (array int)) "ragged tail" [| 0; 1; 1 |] tail
   | l -> Alcotest.failf "expected 2 batches, got %d" (List.length l)
 
+(* Exact work counts of the bench guard's fault workload at one word
+   per gate visit: the gate-word evaluations and the detected count
+   under both dropping policies. They were recorded on the separate
+   single-word kernel this engine no longer has, and they do not move
+   with host load, so any extra evaluation fails here. *)
+let test_word_evals_pinned () =
+  List.iter
+    (fun (name, n_faults, n_detected, keep_evals, drop_evals) ->
+      let c = Ppet_netlist.Benchmarks.circuit name in
+      match Ppet_core.Bench_runner.fault_workload c (Simulator.create c) with
+      | None -> Alcotest.failf "%s: no fault workload" name
+      | Some (engine, patterns, faults) ->
+        List.iter
+          (fun (drop, label, evals) ->
+            let o =
+              Batch.run engine (Batch.policy ~words:1 ~drop ()) ~patterns faults
+            in
+            let what field = Printf.sprintf "%s %s: %s" name label field in
+            Alcotest.(check int) (what "faults") n_faults o.Batch.n_faults;
+            Alcotest.(check int) (what "detected") n_detected o.Batch.n_detected;
+            Alcotest.(check int) (what "word_evals") evals o.Batch.word_evals)
+          [ (Batch.Keep, "keep", keep_evals); (Batch.Drop, "drop", drop_evals) ])
+    [ ("s641", 1134, 413, 42_272, 23_424); ("s5378", 1366, 846, 48_739, 19_047) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_batch_matches_seed;
@@ -331,4 +355,6 @@ let suite =
     Alcotest.test_case "exhaustive run allocates no pattern list" `Quick
       test_exhaustive_allocation;
     Alcotest.test_case "exhaustive width cap" `Quick test_exhaustive_width_cap;
+    Alcotest.test_case "word_evals pinned at words 1 (guard workload)" `Quick
+      test_word_evals_pinned;
   ]

@@ -11,9 +11,10 @@ module Obs = Ppet_obs.Obs
 
 let params = { Params.default with Params.l_k = 3 }
 
+let s27_csr () = Csr.of_netgraph (To_graph.partition_view (S27.circuit ()))
+
 let test_all_visited () =
-  let g = To_graph.partition_view (S27.circuit ()) in
-  let r = Flow.saturate g params (Prng.create 1L) in
+  let r = Flow.saturate (s27_csr ()) params (Prng.create 1L) in
   Array.iteri
     (fun v n ->
       Alcotest.(check bool)
@@ -23,23 +24,21 @@ let test_all_visited () =
     r.Flow.visits
 
 let test_distances_positive () =
-  let g = To_graph.partition_view (S27.circuit ()) in
-  let r = Flow.saturate g params (Prng.create 1L) in
+  let r = Flow.saturate (s27_csr ()) params (Prng.create 1L) in
   Array.iter
     (fun d -> Alcotest.(check bool) "d >= 1" true (d >= 1.0))
     r.Flow.distance
 
 let test_deterministic () =
-  let g = To_graph.partition_view (S27.circuit ()) in
-  let a = Flow.saturate g params (Prng.create 7L) in
-  let b = Flow.saturate g params (Prng.create 7L) in
+  let csr = s27_csr () in
+  let a = Flow.saturate csr params (Prng.create 7L) in
+  let b = Flow.saturate csr params (Prng.create 7L) in
   Alcotest.(check bool) "same distances" true (a.Flow.distance = b.Flow.distance);
-  let c = Flow.saturate g params (Prng.create 8L) in
+  let c = Flow.saturate csr params (Prng.create 8L) in
   Alcotest.(check bool) "different seed differs" true (a.Flow.distance <> c.Flow.distance)
 
 let test_distance_flow_relation () =
-  let g = To_graph.partition_view (S27.circuit ()) in
-  let r = Flow.saturate g params (Prng.create 3L) in
+  let r = Flow.saturate (s27_csr ()) params (Prng.create 3L) in
   Array.iteri
     (fun e f ->
       let expect = exp (params.Params.alpha *. f /. params.Params.capacity) in
@@ -51,7 +50,7 @@ let test_scc_nets_congested () =
   let c = S27.circuit () in
   let g = To_graph.partition_view c in
   let sb = Ppet_retiming.Scc_budget.create c g in
-  let r = Flow.saturate g params (Prng.create 5L) in
+  let r = Flow.saturate (Csr.of_netgraph g) params (Prng.create 5L) in
   let loop_flow = ref 0.0 and loop_n = ref 0 in
   let other_flow = ref 0.0 and other_n = ref 0 in
   for e = 0 to Netgraph.n_nets g - 1 do
@@ -68,8 +67,7 @@ let test_scc_nets_congested () =
   Alcotest.(check bool) "loops more congested" true (avg_loop > avg_other)
 
 let test_boundaries_sorted () =
-  let g = To_graph.partition_view (S27.circuit ()) in
-  let r = Flow.saturate g params (Prng.create 1L) in
+  let r = Flow.saturate (s27_csr ()) params (Prng.create 1L) in
   let bs = Flow.boundaries r in
   let rec descending = function
     | a :: (b :: _ as tl) -> a > b && descending tl
@@ -79,30 +77,28 @@ let test_boundaries_sorted () =
   Alcotest.(check bool) "non-empty" true (bs <> [])
 
 let test_max_iterations_cap () =
-  let g = To_graph.partition_view (S27.circuit ()) in
   let p = { params with Params.max_iterations = 3 } in
-  let r = Flow.saturate g p (Prng.create 1L) in
+  let r = Flow.saturate (s27_csr ()) p (Prng.create 1L) in
   Alcotest.(check int) "capped" 3 r.Flow.iterations
 
 let test_empty_graph () =
-  let g = Netgraph.create 0 in
-  let r = Flow.saturate g params (Prng.create 1L) in
+  let csr = Csr.of_netgraph (Netgraph.create 0) in
+  let r = Flow.saturate csr params (Prng.create 1L) in
   Alcotest.(check int) "no iterations" 0 r.Flow.iterations
 
 let test_invalid_params () =
-  let g = To_graph.partition_view (S27.circuit ()) in
   let p = { params with Params.delta = -1.0 } in
   Alcotest.(check bool) "rejected" true
     (try
-       ignore (Flow.saturate g p (Prng.create 1L));
+       ignore (Flow.saturate (s27_csr ()) p (Prng.create 1L));
        false
      with Invalid_argument _ -> true)
 
-(* The CSR path (flat Dijkstra kernel, hit-count tables) against the
-   hashed one (Netgraph, Heap, per-net exp): every bit of every net's
+(* Flow.saturate (flat Dijkstra kernel, hit-count tables) against the
+   hashed oracle (Netgraph, Heap, per-net exp): every bit of every net's
    distance and flow, every visit count, the tree count, and the
    settled, tree-net and decrease-key counters, which are equal only if
-   both paths made the same heap operations. Each flow starts with all
+   both made the same heap operations. Each flow starts with all
    distances at 1.0, so ties decide the early trees. *)
 let same_bits a b =
   Array.length a = Array.length b
@@ -124,10 +120,10 @@ let csr_matches_hashed ?(p = params) c seed =
   let g = To_graph.partition_view c in
   let flat, flat_counts =
     flow_counters (fun () ->
-        Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create seed))
+        Flow.saturate (Csr.of_netgraph g) p (Prng.create seed))
   in
   let hashed, hashed_counts =
-    flow_counters (fun () -> Flow.saturate g p (Prng.create seed))
+    flow_counters (fun () -> Hashed_oracle.saturate g p (Prng.create seed))
   in
   same_bits flat.Flow.distance hashed.Flow.distance
   && same_bits flat.Flow.flow hashed.Flow.flow
@@ -158,7 +154,7 @@ let test_csr_allocation () =
   let p = Params.with_lk 16 in
   let rng = Prng.create p.Params.seed in
   let before = Gc.minor_words () in
-  let r = Flow.saturate ~csr g p rng in
+  let r = Flow.saturate csr p rng in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "%d trees allocate %.0f minor words (bound 4096)"
@@ -169,7 +165,8 @@ let test_csr_allocation () =
    never build. Each digest covers the bits of every distance and flow
    and every visit count; it, the tree count and [flow.settled] were
    recorded before the kernel's pop went bottom-up, and
-   [flow.decreases] from the hashed path (textbook [Heap]). *)
+   [flow.decreases] from the hashed oracle (textbook [Heap]), which
+   must still agree with all of them. *)
 let flow_digest (r : Flow.result) =
   let b = Buffer.create 4096 in
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) r.Flow.distance;
@@ -184,12 +181,19 @@ let test_csr_pinned () =
       let p = Params.with_lk 16 in
       let r, (got_settled, _, got_decreases) =
         flow_counters (fun () ->
-            Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create p.Params.seed))
+            Flow.saturate (Csr.of_netgraph g) p (Prng.create p.Params.seed))
       in
       Alcotest.(check string) (name ^ " digest") digest (flow_digest r);
       Alcotest.(check int) (name ^ " trees") iterations r.Flow.iterations;
       Alcotest.(check int) (name ^ " flow.settled") settled got_settled;
-      Alcotest.(check int) (name ^ " flow.decreases") decreases got_decreases)
+      Alcotest.(check int) (name ^ " flow.decreases") decreases got_decreases;
+      let oracle, (o_settled, _, o_decreases) =
+        flow_counters (fun () ->
+            Hashed_oracle.saturate g p (Prng.create p.Params.seed))
+      in
+      Alcotest.(check string) (name ^ " oracle digest") digest (flow_digest oracle);
+      Alcotest.(check int) (name ^ " oracle flow.settled") settled o_settled;
+      Alcotest.(check int) (name ^ " oracle flow.decreases") decreases o_decreases)
     [
       ("s5378", "f985b0fe6dfbe43fe0fd9c9685698fe0", 1517, 2111382, 33106);
       ("s9234.1", "4b8305126e42c760f94761aff17de917", 1529, 4503840, 83686);

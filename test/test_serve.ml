@@ -103,7 +103,6 @@ let test_protocol_parse () =
   bad "{\"op\":\"compile\"}";
   bad "{\"op\":\"compile\",\"circuit\":\"s27\",\"bench\":\"x\"}";
   bad "{\"op\":\"compile\",\"circuit\":\"s27\",\"timeout_ms\":0}";
-  bad "{\"op\":\"compile\",\"circuit\":\"s27\",\"substrate\":\"quantum\"}";
   bad "{\"op\":\"suite\",\"jobs\":[]}";
   bad "{\"op\":\"suite\",\"jobs\":[{\"op\":\"suite\",\"jobs\":[]}]}";
   bad "{\"op\":\"sleep\"}"

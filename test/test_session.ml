@@ -70,6 +70,36 @@ let test_bad_fault_site () =
        false
      with Invalid_argument _ -> true)
 
+(* Faults the static classifier proves undetectable must stay
+   undetected by the whole-chip session: the good machine and every
+   faulty lane see the same stimulus, so a lane's signature moves only
+   if its fault does. On s510 at l_k 12 that is 126 faults, over every
+   Merced segment. (s641 still shows a few such detections: the
+   testable netlist reroutes same-partition readers of a celled driver
+   through the cell's mux, so a segment's exhaustive model and the
+   emitted hardware disagree there.) *)
+let test_untestable_stay_undetected () =
+  let c = Ppet_netlist.Benchmarks.circuit "s510" in
+  let r = Merced.run ~params:(Params.with_lk 12) c in
+  let uctx = Ppet_analysis.Untestable.ctx c in
+  let faults =
+    List.concat_map
+      (fun seg ->
+        let faults = Fault.collapse c (Fault.of_segment c seg) in
+        List.map fst
+          (Ppet_analysis.Untestable.classify uctx seg faults)
+            .Ppet_analysis.Untestable.untestable)
+      (Merced.segments r)
+  in
+  let rep = Session.run ~max_burst:128 ~faults (Testable.insert r) in
+  Alcotest.(check bool) "untestable faults exist" true (rep.Session.n_faults > 0);
+  Alcotest.(check (list string)) "none detected" []
+    (List.filter_map
+       (fun f ->
+         if List.memq f rep.Session.undetected then None
+         else Some (Fault.describe c f))
+       faults)
+
 let suite =
   [
     Alcotest.test_case "s27 full whole-chip coverage" `Quick test_full_coverage_s27;
@@ -79,4 +109,6 @@ let suite =
     Alcotest.test_case "PO observer contribution" `Quick test_without_po_observer;
     Alcotest.test_case "truncation flagged" `Slow test_truncation_flag;
     Alcotest.test_case "bad fault site rejected" `Quick test_bad_fault_site;
+    Alcotest.test_case "proven-untestable faults stay undetected (s510)" `Quick
+      test_untestable_stay_undetected;
   ]
