@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sec. 4) on the synthetic benchmark suite, side by side
    with the published numbers, then times the compiler stages with
-   Bechamel (one Test.make per table/figure).
+   Bechamel (one Test.make per table/figure). Every compile runs at the
+   published settings, Params.paper, not at the product default.
 
    Run with: dune exec bench/main.exe
    Pass --quick to restrict the heavy tables to circuits under 25k area. *)
@@ -177,7 +178,7 @@ let merced name lk =
   | Some r -> r
   | None ->
     let c = Benchmarks.circuit name in
-    let r = Merced.run ~params:(Params.with_lk lk) c in
+    let r = Merced.run ~params:{ Params.paper with Params.l_k = lk } c in
     Hashtbl.replace merced_cache (name, lk) r;
     r
 
@@ -306,7 +307,7 @@ let ablation_partitioners () =
     (fun name ->
       let c = Benchmarks.circuit name in
       let g = To_graph.partition_view c in
-      let params = Params.with_lk 16 in
+      let params = Params.paper in
       let merced_r, merced_t =
         timed (fun () -> Merced.run ~params c)
       in
@@ -337,7 +338,7 @@ let ablation_partitioners () =
   let name = "s5378" in
   let c = Benchmarks.circuit name in
   let g = To_graph.partition_view c in
-  let params = Params.with_lk 16 in
+  let params = Params.paper in
   let merced_r, merced_t = (let t0 = Sys.time () in let v = Merced.run ~params c in (v, Sys.time () -. t0)) in
   let random, random_t = (let t0 = Sys.time () in let v = Baseline_random.run c g params (Prng.create 11L) in (v, Sys.time () -. t0)) in
   let annealing, anneal_t =
@@ -365,7 +366,7 @@ let ablation_beta () =
   List.iter
     (fun beta ->
       let c = Benchmarks.circuit "s5378" in
-      let params = { (Params.with_lk 16) with Params.beta } in
+      let params = { Params.paper with Params.beta } in
       let r = Merced.run ~params c in
       let b = r.Merced.breakdown in
       let oversize =
@@ -387,7 +388,7 @@ let ablation_flow_params () =
     (fun (min_visit, alpha) ->
       let c = Benchmarks.circuit "s1423" in
       let params =
-        { (Params.with_lk 16) with Params.min_visit; alpha }
+        { Params.paper with Params.min_visit; alpha }
       in
       let r = Merced.run ~params c in
       Printf.printf "%10d %7.1f %12d %9d\n" min_visit alpha
@@ -408,7 +409,7 @@ let validation_coverage () =
         if name = "s27" then Ppet_netlist.S27.circuit ()
         else Benchmarks.circuit name
       in
-      let r = Merced.run ~params:(Params.with_lk 12) c in
+      let r = Merced.run ~params:{ Params.paper with Params.l_k = 12 } c in
       let sim = Simulator.create c in
       let segments = Merced.segments r in
       let tested = ref 0 and faults = ref 0 and detected = ref 0 in
@@ -469,7 +470,7 @@ let validation_coverage () =
         if name = "s27" then Ppet_netlist.S27.circuit ()
         else Benchmarks.circuit name
       in
-      let r = Merced.run ~params:(Params.with_lk lk) c in
+      let r = Merced.run ~params:{ Params.paper with Params.l_k = lk } c in
       let t = Ppet_core.Testable.insert r in
       let rep = Ppet_core.Session.run ~max_burst:2048 t in
       Printf.printf
@@ -487,7 +488,7 @@ let bechamel_timings () =
   let open Bechamel in
   let c = Benchmarks.circuit "s1423" in
   let g = To_graph.partition_view c in
-  let params = Params.with_lk 16 in
+  let params = Params.paper in
   let csr = Csr.of_netgraph g in
   let sb = Scc_budget.create c g in
   let flow = Flow.saturate csr params (Prng.create 1L) in

@@ -34,5 +34,7 @@ val entry_names : plan -> Report.bench_entry list
     worker count; a benchmark with no combinational gate skips them. *)
 
 val run : ?progress:(string -> unit) -> plan -> Report.bench_entry list
-(** Measure every phase of every benchmark in [plan]. [progress] (if
-    given) is called with each entry name before it is measured. *)
+(** Measure every phase of every benchmark in [plan] at
+    {!Params.paper}, the setting the committed baselines were recorded
+    at. [progress] (if given) is called with each entry name before it
+    is measured. *)

@@ -37,6 +37,9 @@ let saturate csr (p : Params.t) rng =
       n_pending := !k
     in
     let tree_nets = ref 0 and settled = ref 0 and decreases = ref 0 in
+    (* trees rooted at a vertex without in-nets: no other tree reaches
+       it, so each of its visits costs a tree of its own *)
+    let inputless = ref 0 in
     (* A net's flow and distance depend only on how many trees have
        used it. Entry [k] of [flow_at]/[distance_at] holds them after
        [k] hits: the same [+. delta] chain and the same [exp] as adding
@@ -62,6 +65,7 @@ let saturate csr (p : Params.t) rng =
     while !n_pending > 0 && !iterations < p.Params.max_iterations do
       let src = pending.(Prng.int rng !n_pending) in
       visits.(src) <- visits.(src) + 1;
+      if Csr.in_degree csr src = 0 then incr inputless;
       (* the kernel adds each tree net's hit and its sinks' visits *)
       let count = Dijkstra.Flat.run kernel ~dist:distance ~hits ~visits ~src in
       tree_nets := !tree_nets + count;
@@ -83,6 +87,7 @@ let saturate csr (p : Params.t) rng =
     done;
     Obs.add Obs.Metric.Flow_tree_nets !tree_nets;
     Obs.add Obs.Metric.Flow_settled !settled;
+    Obs.add Obs.Metric.Flow_inputless_trees !inputless;
     Obs.add Obs.Metric.Flow_decreases !decreases
   end;
   Obs.add Obs.Metric.Flow_iterations !iterations;

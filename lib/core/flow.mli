@@ -13,7 +13,16 @@
     and when a tree reaches it (the literal source-only reading needs
     O(min_visit x |V|) Dijkstra runs, irreconcilable with the CPU times
     of Table 10), and sources are drawn uniformly from the under-visited
-    vertices, which is what "fair sampling" demands. *)
+    vertices, which is what "fair sampling" demands.
+
+    A vertex without in-nets (a primary input) is reached by no tree,
+    so only the trees it roots count as its visits: each one costs
+    [min_visit + 1] trees ([flow.inputless_trees]). At the paper's
+    [min_visit = 20] ({!Params.paper}) that is about half of all trees
+    on the large profiles. The product default ({!Params.default})
+    samples with [min_visit = 2], ~7x fewer trees, after a ten-seed band
+    showed no loss of cut nets or Table 12 area (EXPERIMENTS "flow
+    budget band"). *)
 
 type result = {
   distance : float array;  (** per net: exp(alpha * flow / cap) *)
@@ -30,8 +39,8 @@ val saturate : Ppet_digraph.Csr.t -> Params.t -> Ppet_digraph.Prng.t -> result
     which also counts each tree net's hit and its sinks' visits; each
     net's new flow and distance are read from tables indexed by how
     many trees have used it, so the loop allocates nothing per tree.
-    Records the [Flow_tree_nets], [Flow_settled], [Flow_decreases] and
-    [Flow_iterations] counters. *)
+    Records the [Flow_tree_nets], [Flow_settled], [Flow_inputless_trees],
+    [Flow_decreases] and [Flow_iterations] counters. *)
 
 val boundaries : result -> float list
 (** Distinct distance values, descending — the stack D of Table 4. *)

@@ -3,7 +3,8 @@
     The published settings are [b = 1], [min_visit = 20], [alpha = 4],
     [delta = 0.01], [beta = 50] (relaxed so [Assign_CBIT] is
     unrestricted), and input constraints [l_k] of 16 (Table 10) or 24
-    (Table 11). *)
+    (Table 11): {!paper}. The product runs at {!default}, which samples
+    Saturate_Network with a smaller budget and is otherwise the same. *)
 
 type partitioner =
   | Flow       (** the paper's multicommodity-flow pipeline (Tables 3-7) *)
@@ -47,11 +48,27 @@ type t = {
           {!fingerprint}. *)
 }
 
+val paper : t
+(** The published settings at [l_k = 16]: [b = 1], [min_visit = 20],
+    [alpha = 4], [delta = 0.01], [beta = 50]. Every reproduction of a
+    paper table runs at these ([{ paper with l_k }] for Table 11), as do
+    the partition-shape baselines of [merced bench] and the kernel pins
+    of the test suite. *)
+
 val default : t
-(** Paper settings with [l_k = 16]. *)
+(** The product setting: {!paper} with a smaller Saturate_Network
+    sampling budget, [min_visit = 2]. A primary input has no in-net, so
+    only a tree rooted at it counts as its visit, and [min_visit = 20]
+    makes every primary input the source of 21 trees — half of the
+    trees, and of the flow time, on the large profiles. Over ten flow
+    seeds on the seventeen paper profiles and synth10k, the median cut
+    nets and Table 12 area at [min_visit = 2] stay inside the range the
+    paper budget spans on the same seeds (EXPERIMENTS "flow budget
+    band", [bench/flow_band.exe]). Every other field equals {!paper}.
+    The CLI, the daemon and the campaign start from this value. *)
 
 val with_lk : int -> t
-(** Paper settings at another input constraint. *)
+(** {!default} at another input constraint. *)
 
 val validate : t -> (unit, string) result
 

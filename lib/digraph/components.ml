@@ -1,43 +1,3 @@
-type partition = {
-  cluster : int array;
-  count : int;
-  members : int array array;
-}
-
-let of_union_find uf n =
-  let root_to_id = Hashtbl.create 16 in
-  let cluster = Array.make n (-1) in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    let r = Union_find.find uf v in
-    let id =
-      try Hashtbl.find root_to_id r
-      with Not_found ->
-        let id = !count in
-        Hashtbl.add root_to_id r id;
-        incr count;
-        id
-    in
-    cluster.(v) <- id
-  done;
-  let sizes = Array.make !count 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) cluster;
-  let members = Array.init !count (fun c -> Array.make sizes.(c) 0) in
-  let fill = Array.make !count 0 in
-  for v = 0 to n - 1 do
-    let c = cluster.(v) in
-    members.(c).(fill.(c)) <- v;
-    fill.(c) <- fill.(c) + 1
-  done;
-  { cluster; count = !count; members }
-
-let weak g ~keep =
-  let n = Netgraph.n_nodes g in
-  let uf = Union_find.create n in
-  Netgraph.iter_nets g (fun e ~src ~sinks ->
-      if keep e then Array.iter (fun v -> Union_find.union uf src v) sinks);
-  of_union_find uf n
-
 (* Iterates only the piece's own out-nets instead of every net of the
    graph. The clustering loop re-splits pieces thousands of times; with
    a global scan each split would cost O(|nets|), quadratic over a
@@ -66,7 +26,7 @@ let restrict_csr csr ws ~vertices ~keep =
         done
     done
   done;
-  (* ids by first occurrence in piece-index order, as [of_union_find] *)
+  (* ids by first occurrence in piece-index order *)
   let root_id = Array.make (max k 1) (-1) in
   let id_of = Array.make (max k 1) (-1) in
   let count = ref 0 in

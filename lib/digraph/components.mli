@@ -2,18 +2,9 @@
 
     The clustering pass of the paper (Tables 4-6) removes the most
     congested nets and takes the remaining weakly connected pieces as
-    candidate clusters; this module provides that primitive. *)
-
-type partition = {
-  cluster : int array;        (** vertex -> cluster id in [0, count) *)
-  count : int;
-  members : int array array;  (** cluster id -> member vertices *)
-}
-
-val weak : Netgraph.t -> keep:(int -> bool) -> partition
-(** [weak g ~keep] groups vertices connected (ignoring direction) through
-    nets satisfying [keep]. Vertices touched by no kept net form singleton
-    clusters. Cluster ids are assigned by smallest member vertex. *)
+    candidate clusters; this module provides that primitive. Over all
+    vertices, {!restrict_csr} gives the weak components of the whole
+    graph. *)
 
 val restrict_csr :
   Csr.t -> Csr.workspace -> vertices:int array -> keep:(int -> bool) ->

@@ -4,6 +4,7 @@ module Metric = struct
     | Flow_tree_nets
     | Flow_settled
     | Flow_decreases
+    | Flow_inputless_trees
     | Bf_relaxations
     | Retime_required_kept
     | Retime_required_dropped
@@ -23,6 +24,7 @@ module Metric = struct
     | Flow_tree_nets -> "flow.tree_nets"
     | Flow_settled -> "flow.settled"
     | Flow_decreases -> "flow.decreases"
+    | Flow_inputless_trees -> "flow.inputless_trees"
     | Bf_relaxations -> "retime.bf_relaxations"
     | Retime_required_kept -> "retime.required_kept"
     | Retime_required_dropped -> "retime.required_dropped"
@@ -40,7 +42,7 @@ module Metric = struct
   let all =
     [
       Flow_iterations; Flow_tree_nets; Flow_settled; Flow_decreases;
-      Bf_relaxations;
+      Flow_inputless_trees; Bf_relaxations;
       Retime_required_kept; Retime_required_dropped; Clusters_formed;
       Partitions_formed;
       Faults_simulated; Fault_patterns; Fault_word_evals; Campaign_circuits;

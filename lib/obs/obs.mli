@@ -23,6 +23,12 @@ module Metric : sig
                                  [flow.settled - flow.iterations] (a
                                  source is placed, not pushed), so this
                                  completes the heap-operation count *)
+    | Flow_inputless_trees   (** injected trees whose source has no
+                                 in-net. No other tree reaches such a
+                                 vertex (a primary input), so
+                                 [min_visit] forces [min_visit + 1] trees
+                                 through each; the rest of
+                                 [flow.iterations] sample the graph *)
     | Bf_relaxations         (** Bellman–Ford relax steps in [Retime.solve] *)
     | Retime_required_kept   (** register requirements retained by the solver *)
     | Retime_required_dropped(** requirements dropped on over-constrained loops *)

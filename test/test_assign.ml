@@ -141,7 +141,8 @@ let prop_flat_matches_hashed =
 
 (* Assign.run above the candidate cap, where the hashed oracle draws
    its sample differently and is no oracle. Saturation and clustering
-   as in Merced.run at l_k 16; the assignment then runs at the default
+   as in Merced.run at the paper's settings (l_k 16, min_visit 20, at
+   which the values were recorded); the assignment then runs at the default
    cap and at 8. s5378 forms ~2 000 clusters and s9234.1 ~3 900, so
    the default cap samples by partial Fisher-Yates (s5378) and from the
    lazily compacted pool (s9234.1), and cap 8 drives both on each.
@@ -155,7 +156,7 @@ let flat_pipeline =
       let c = Benchmarks.circuit name in
       let g = To_graph.partition_view c in
       let csr = Csr.of_netgraph g in
-      let p = Params.with_lk 16 in
+      let p = Params.paper in
       let rng = Prng.create p.Params.seed in
       let flow = Flow.saturate csr p rng in
       let clustering =

@@ -147,11 +147,12 @@ let prop_csr_matches_hashed =
       csr_matches_hashed c (Int64.of_int (seed * 7)))
 
 (* Allocation guard: one saturation of s5378 allocates a fixed handful
-   of small blocks, however many trees it injects (~1500 here). *)
+   of small blocks, however many trees it injects (~1500 here, at the
+   paper's sampling budget). *)
 let test_csr_allocation () =
   let g = To_graph.partition_view (Benchmarks.circuit "s5378") in
   let csr = Csr.of_netgraph g in
-  let p = Params.with_lk 16 in
+  let p = Params.paper in
   let rng = Prng.create p.Params.seed in
   let before = Gc.minor_words () in
   let r = Flow.saturate csr p rng in
@@ -166,7 +167,8 @@ let test_csr_allocation () =
    and every visit count; it, the tree count and [flow.settled] were
    recorded before the kernel's pop went bottom-up, and
    [flow.decreases] from the hashed oracle (textbook [Heap]), which
-   must still agree with all of them. *)
+   must still agree with all of them. They run at the paper's
+   settings, at which they were recorded. *)
 let flow_digest (r : Flow.result) =
   let b = Buffer.create 4096 in
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) r.Flow.distance;
@@ -178,7 +180,7 @@ let test_csr_pinned () =
   List.iter
     (fun (name, digest, iterations, settled, decreases) ->
       let g = To_graph.partition_view (Benchmarks.circuit name) in
-      let p = Params.with_lk 16 in
+      let p = Params.paper in
       let r, (got_settled, _, got_decreases) =
         flow_counters (fun () ->
             Flow.saturate (Csr.of_netgraph g) p (Prng.create p.Params.seed))
@@ -199,6 +201,44 @@ let test_csr_pinned () =
       ("s9234.1", "4b8305126e42c760f94761aff17de917", 1529, 4503840, 83686);
     ]
 
+(* A vertex without in-nets is visited only by the trees it roots, so
+   [flow.inputless_trees] is those vertices' visit total, and sampling
+   stops each of them at [min_visit + 1]. *)
+let test_inputless_trees () =
+  List.iter
+    (fun (name, c) ->
+      let csr = Csr.of_netgraph (To_graph.partition_view c) in
+      List.iter
+        (fun p ->
+          let tr = Obs.create () in
+          let r =
+            Obs.with_installed tr (fun () ->
+                Flow.saturate csr p (Prng.create p.Params.seed))
+          in
+          let counted =
+            List.fold_left
+              (fun acc -> function
+                | Obs.Count { metric = Obs.Metric.Flow_inputless_trees; value; _ } ->
+                  acc + value
+                | _ -> acc)
+              0 (Obs.events tr)
+          in
+          let roots = ref 0 and root_visits = ref 0 in
+          Array.iteri
+            (fun v n ->
+              if Csr.in_degree csr v = 0 then begin
+                incr roots;
+                root_visits := !root_visits + n
+              end)
+            r.Flow.visits;
+          let label = Printf.sprintf "%s min_visit %d" name p.Params.min_visit in
+          Alcotest.(check int) (label ^ ": visits of in-net-free vertices")
+            !root_visits counted;
+          Alcotest.(check int) (label ^ ": min_visit + 1 trees each")
+            ((p.Params.min_visit + 1) * !roots) counted)
+        [ Params.paper; Params.default ])
+    [ ("s27", S27.circuit ()); ("s5378", Benchmarks.circuit "s5378") ]
+
 let suite =
   [
     Alcotest.test_case "every vertex sampled" `Quick test_all_visited;
@@ -217,4 +257,6 @@ let suite =
       test_csr_allocation;
     Alcotest.test_case "csr flow pinned (s5378, s9234.1 at l_k 16)" `Quick
       test_csr_pinned;
+    Alcotest.test_case "flow.inputless_trees counts PI-rooted trees" `Quick
+      test_inputless_trees;
   ]

@@ -5,6 +5,7 @@ module Generator = Ppet_netlist.Generator
 module Benchmarks = Ppet_netlist.Benchmarks
 module To_graph = Ppet_netlist.To_graph
 module Components = Ppet_digraph.Components
+module Csr = Ppet_digraph.Csr
 module Scc_budget = Ppet_retiming.Scc_budget
 
 let profile name n_pi n_dff n_gates n_inv dff_on_scc area =
@@ -60,9 +61,13 @@ let test_area_tracking () =
 
 let test_connected () =
   let c = Generator.generate (profile "t7" 12 10 300 60 5 None) in
-  let g = To_graph.partition_view c in
-  let p = Components.weak g ~keep:(fun _ -> true) in
-  Alcotest.(check int) "one weak component" 1 p.Components.count
+  let csr = Csr.of_netgraph (To_graph.partition_view c) in
+  let pieces =
+    Components.restrict_csr csr (Csr.workspace csr)
+      ~vertices:(Array.init (Csr.n_nodes csr) Fun.id)
+      ~keep:(fun _ -> true)
+  in
+  Alcotest.(check int) "one weak component" 1 (Array.length pieces)
 
 let test_every_pi_read () =
   let c = Generator.generate (profile "t8" 20 10 300 60 5 None) in

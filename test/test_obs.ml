@@ -161,25 +161,28 @@ let golden_chrome_s27 =
 {"name":"flow.saturate","ph":"B","pid":0,"tid":0,"ts":7.000},
 {"name":"flow.tree_nets","ph":"C","pid":0,"tid":0,"ts":8.000,"args":{"value":941}},
 {"name":"flow.settled","ph":"C","pid":0,"tid":0,"ts":9.000,"args":{"value":1373}},
-{"name":"flow.decreases","ph":"C","pid":0,"tid":0,"ts":10.000,"args":{"value":5}},
-{"name":"flow.iterations","ph":"C","pid":0,"tid":0,"ts":11.000,"args":{"value":121}},
-{"name":"flow.saturate","ph":"E","pid":0,"tid":0,"ts":12.000},
-{"name":"cluster.make_group","ph":"B","pid":0,"tid":0,"ts":13.000},
-{"name":"cluster.clusters","ph":"C","pid":0,"tid":0,"ts":14.000,"args":{"value":2}},
-{"name":"cluster.make_group","ph":"E","pid":0,"tid":0,"ts":15.000},
-{"name":"merced.assign","ph":"B","pid":0,"tid":0,"ts":16.000},
-{"name":"merced.assign","ph":"E","pid":0,"tid":0,"ts":17.000},
-{"name":"assign.partitions","ph":"C","pid":0,"tid":0,"ts":18.000,"args":{"value":1}},
-{"name":"merced.area","ph":"B","pid":0,"tid":0,"ts":19.000},
-{"name":"merced.area","ph":"E","pid":0,"tid":0,"ts":20.000},
-{"name":"merced.cuts_total","ph":"C","pid":0,"tid":0,"ts":21.000,"args":{"value":0}},
-{"name":"merced.sigma_dff","ph":"C","pid":0,"tid":0,"ts":22.000,"args":{"value":8.14}},
-{"name":"merced.run","ph":"E","pid":0,"tid":0,"ts":23.000}
+{"name":"flow.inputless_trees","ph":"C","pid":0,"tid":0,"ts":10.000,"args":{"value":84}},
+{"name":"flow.decreases","ph":"C","pid":0,"tid":0,"ts":11.000,"args":{"value":5}},
+{"name":"flow.iterations","ph":"C","pid":0,"tid":0,"ts":12.000,"args":{"value":121}},
+{"name":"flow.saturate","ph":"E","pid":0,"tid":0,"ts":13.000},
+{"name":"cluster.make_group","ph":"B","pid":0,"tid":0,"ts":14.000},
+{"name":"cluster.clusters","ph":"C","pid":0,"tid":0,"ts":15.000,"args":{"value":2}},
+{"name":"cluster.make_group","ph":"E","pid":0,"tid":0,"ts":16.000},
+{"name":"merced.assign","ph":"B","pid":0,"tid":0,"ts":17.000},
+{"name":"merced.assign","ph":"E","pid":0,"tid":0,"ts":18.000},
+{"name":"assign.partitions","ph":"C","pid":0,"tid":0,"ts":19.000,"args":{"value":1}},
+{"name":"merced.area","ph":"B","pid":0,"tid":0,"ts":20.000},
+{"name":"merced.area","ph":"E","pid":0,"tid":0,"ts":21.000},
+{"name":"merced.cuts_total","ph":"C","pid":0,"tid":0,"ts":22.000,"args":{"value":0}},
+{"name":"merced.sigma_dff","ph":"C","pid":0,"tid":0,"ts":23.000,"args":{"value":8.14}},
+{"name":"merced.run","ph":"E","pid":0,"tid":0,"ts":24.000}
 ],"displayTimeUnit":"ms"}
 |}
 
 let test_golden_chrome () =
-  let _, tr = record (fun () -> Merced.run (S27.circuit ())) in
+  let _, tr =
+    record (fun () -> Merced.run ~params:Params.paper (S27.circuit ()))
+  in
   Alcotest.(check string) "chrome trace is byte-stable" golden_chrome_s27
     (Export.to_chrome ~normalise:true tr)
 

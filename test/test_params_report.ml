@@ -4,17 +4,24 @@ module Merced = Ppet_core.Merced
 module S27 = Ppet_netlist.S27
 
 let test_defaults_match_paper () =
-  let p = Params.default in
+  let p = Params.paper in
   Alcotest.(check (float 1e-9)) "b" 1.0 p.Params.capacity;
   Alcotest.(check int) "min_visit" 20 p.Params.min_visit;
   Alcotest.(check (float 1e-9)) "alpha" 4.0 p.Params.alpha;
   Alcotest.(check (float 1e-9)) "delta" 0.01 p.Params.delta;
   Alcotest.(check int) "beta" 50 p.Params.beta;
-  Alcotest.(check int) "l_k" 16 p.Params.l_k
+  Alcotest.(check int) "l_k" 16 p.Params.l_k;
+  (* the product default lowers the sampling budget and nothing else *)
+  let d = Params.default in
+  Alcotest.(check bool) "default samples less" true
+    (d.Params.min_visit < p.Params.min_visit);
+  Alcotest.(check bool) "default differs only in min_visit" true
+    ({ d with Params.min_visit = p.Params.min_visit } = p)
 
 let test_with_lk () =
   Alcotest.(check int) "lk" 24 (Params.with_lk 24).Params.l_k;
-  Alcotest.(check int) "rest unchanged" 20 (Params.with_lk 24).Params.min_visit
+  Alcotest.(check bool) "rest unchanged" true
+    ({ (Params.with_lk 24) with Params.l_k = 16 } = Params.default)
 
 let test_validation_messages () =
   let bad field p =
