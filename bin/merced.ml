@@ -1,7 +1,7 @@
 (* Merced — the BIST compiler of the paper (Table 2), as a command-line
    tool. Subcommands: stats, partition, generate, selftest, analyze,
    insert, retime, dot, sweep, check, fuzz, lint, bench, campaign,
-   calibrate, serve, submit.
+   serve, submit.
 
    Exit-code contract (every subcommand): 0 = success with no findings,
    1 = the tool worked and found something (lint diagnostics, check
@@ -26,8 +26,6 @@ module Obs = Ppet_obs.Obs
 module Obs_export = Ppet_obs.Export
 module Bench_runner = Ppet_core.Bench_runner
 module Campaign = Ppet_core.Campaign
-module Cost_model = Ppet_core.Cost_model
-module Dispatch_compare = Ppet_core.Dispatch_compare
 module Serve_ops = Ppet_serve.Ops
 module Sjson = Ppet_serve.Json
 
@@ -68,10 +66,10 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* Every subcommand taking --jobs / --fault-cutover validates through
-   these, so a nonsensical value is the same usage error (exit 2) with
-   the same message everywhere instead of whatever the first consumer
-   of the value happens to raise. *)
+(* Every subcommand taking --jobs validates through this, so a
+   nonsensical value is the same usage error (exit 2) with the same
+   message everywhere instead of whatever the first consumer of the
+   value happens to raise. *)
 let max_jobs = 512
 
 let validate_jobs jobs =
@@ -79,12 +77,6 @@ let validate_jobs jobs =
     raise
       (Circuit.Error
          (Printf.sprintf "--jobs must be in 1..%d, got %d" max_jobs jobs))
-
-let validate_fault_cutover v =
-  if v < 1 || v > 1 lsl 30 then
-    raise
-      (Circuit.Error
-         (Printf.sprintf "--fault-cutover must be in 1..2^30, got %d" v))
 
 (* run [f] with the pool a --jobs value asks for: none for the serial
    default, a shared domain pool otherwise *)
@@ -98,22 +90,9 @@ let write_circuit path c =
   if Filename.check_suffix path ".v" then Ppet_netlist.Verilog.to_file path c
   else Bench_writer.to_file path c
 
-let fault_cutover_arg =
-  let doc =
-    "Fault-simulate segments with fewer member gates than $(docv) \
-     serially even when --jobs supplies a pool (the parallel dispatch \
-     knee). Results are identical at any value; only the wall clock \
-     moves."
-  in
-  Arg.(value
-       & opt int Params.default.Params.fault_cutover
-       & info [ "fault-cutover" ] ~docv:"GATES" ~doc)
-
-let params_of ?(fault_cutover = Params.default.Params.fault_cutover)
-    ?(partitioner = Params.Flow) lk beta seed =
-  validate_fault_cutover fault_cutover;
+let params_of ?(partitioner = Params.Flow) lk beta seed =
   { Params.default with
-    Params.l_k = lk; beta; seed = Int64.of_int seed; fault_cutover; partitioner }
+    Params.l_k = lk; beta; seed = Int64.of_int seed; partitioner }
 
 let partitioner_arg =
   let doc =
@@ -129,30 +108,6 @@ let partitioner_arg =
                 ("annealing", Params.Annealing); ("random", Params.Random) ])
            Params.Flow
        & info [ "partitioner" ] ~docv:"ALG" ~doc)
-
-(* --dispatch auto resolves knobs from a calibrated cost model; the
-   model only gets read (and validated, exit 2 on a bad one) when auto
-   is actually selected *)
-let dispatch_arg =
-  let doc =
-    "Knob selection: $(b,fixed) (the flags as given, the default) or \
-     $(b,auto) (derive partitioner, fault-sim word width, pool use and \
-     cutover per circuit from the calibrated cost model in --model)."
-  in
-  Arg.(value
-       & opt (enum [ ("fixed", `Fixed); ("auto", `Auto) ]) `Fixed
-       & info [ "dispatch" ] ~docv:"MODE" ~doc)
-
-let model_arg =
-  let doc =
-    "Calibrated cost model (COST_MODEL.json, from $(b,merced calibrate)) \
-     backing $(b,--dispatch auto)."
-  in
-  Arg.(value & opt string "COST_MODEL.json"
-       & info [ "model" ] ~docv:"FILE" ~doc)
-
-let dispatch_model dispatch model =
-  match dispatch with `Fixed -> None | `Auto -> Some (Cost_model.load model)
 
 let trace_arg =
   let doc =
@@ -246,16 +201,10 @@ let locked_fn c names =
       names;
     Some (Hashtbl.mem ids)
 
-let partition_run spec lk beta seed partitioner dispatch model lock
-    csv verbose trace =
+let partition_run spec lk beta seed partitioner lock csv verbose trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
       let params = params_of ~partitioner lk beta seed in
-      let params =
-        match dispatch_model dispatch model with
-        | None -> params
-        | Some m -> fst (Serve_ops.dispatch ~model:m ~params c)
-      in
       if csv then begin
         let r = Merced.run ~params ?locked:(locked_fn c lock) c in
         print_endline Report.csv_header;
@@ -284,8 +233,7 @@ let partition_cmd =
   Cmd.v
     (Cmd.info "partition" ~doc ~exits)
     Term.(const partition_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ partitioner_arg $ dispatch_arg $ model_arg
-          $ lock_arg $ csv $ verbose $ trace_arg)
+          $ partitioner_arg $ lock_arg $ csv $ verbose $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -322,26 +270,14 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* selftest                                                            *)
 
-let selftest_run spec lk beta seed fault_cutover max_width dispatch
-    model jobs trace =
+let selftest_run spec lk beta seed max_width jobs trace =
   wrap ?trace (fun () ->
       let c = load_circuit spec in
-      let base = params_of ~fault_cutover lk beta seed in
+      let params = params_of lk beta seed in
       (* body shared with `merced serve` for byte-identical replies *)
       with_jobs jobs (fun pool ->
-          let params, words, pool =
-            match dispatch_model dispatch model with
-            | None -> (base, None, pool)
-            | Some m ->
-              let params, d = Serve_ops.dispatch ?pool ~model:m ~params:base c in
-              ( params,
-                Some d.Cost_model.d_words,
-                (* the model says the pool won't pay on this circuit *)
-                if d.Cost_model.d_jobs <= 1 then None else pool )
-          in
           print_string
-            (Serve_ops.selftest ?pool ?words ~params ~max_width c)
-              .Serve_ops.output))
+            (Serve_ops.selftest ?pool ~params ~max_width c).Serve_ops.output))
 
 let selftest_cmd =
   let doc =
@@ -355,8 +291,7 @@ let selftest_cmd =
   in
   Cmd.v (Cmd.info "selftest" ~doc ~exits)
     Term.(const selftest_run $ circuit_arg $ lk_arg $ beta_arg $ seed_arg
-          $ fault_cutover_arg $ max_width $ dispatch_arg
-          $ model_arg $ jobs_arg $ trace_arg)
+          $ max_width $ jobs_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -851,36 +786,7 @@ let bench_guard ~baseline entries =
     entries;
   !failures
 
-(* auto vs every forced configuration, with the speed gate — the
-   BENCH_dispatch.json artefact CI tracks *)
-let bench_compare ~benchmarks ~repeat ~jobs ~out ~model ~gate =
-  if gate < 1.0 then
-    raise (Circuit.Error (Printf.sprintf "--gate must be >= 1, got %g" gate));
-  let plan =
-    {
-      Dispatch_compare.benchmarks;
-      repeat;
-      jobs;
-      params = Params.default;
-      model = Cost_model.load model;
-      gate;
-      slack_ns = Dispatch_compare.default_slack_ns;
-    }
-  in
-  let progress name = Printf.eprintf "bench: %s\n%!" name in
-  let report = Dispatch_compare.run ~progress plan in
-  print_string (Dispatch_compare.human report);
-  (* --compare has its own default artefact name *)
-  let out = if out = "BENCH_pipeline.json" then "BENCH_dispatch.json" else out in
-  let oc = open_out out in
-  output_string oc (Dispatch_compare.to_json report);
-  close_out oc;
-  Printf.printf "wrote %s (%d entries)\n" out
-    (List.length report.Dispatch_compare.entries);
-  if report.Dispatch_compare.failures = [] then 0 else 1
-
-let bench_run benchmarks repeat jobs out against compare model gate dry_run
-    trace =
+let bench_run benchmarks repeat jobs out against dry_run trace =
   wrap_status ?trace (fun () ->
       List.iter
         (fun name ->
@@ -900,12 +806,6 @@ let bench_run benchmarks repeat jobs out against compare model gate dry_run
         benchmarks;
       if repeat < 1 then raise (Circuit.Error "--repeat must be >= 1");
       validate_jobs jobs;
-      if compare then begin
-        if dry_run then
-          raise (Circuit.Error "--compare times everything; drop --dry-run");
-        bench_compare ~benchmarks ~repeat ~jobs ~out ~model ~gate
-      end
-      else begin
       let baseline =
         match against with
         | None -> None
@@ -960,7 +860,6 @@ let bench_run benchmarks repeat jobs out against compare model gate dry_run
         | None -> 0
         | Some baseline ->
           if bench_guard ~baseline entries > 0 then 1 else 0
-      end
       end)
 
 let bench_cmd =
@@ -1001,23 +900,6 @@ let bench_cmd =
                    entries (matched by name and job count; a circuit-shape \
                    mismatch also fails).")
   in
-  let compare =
-    Arg.(value & flag
-         & info [ "compare" ]
-             ~doc:"Race --dispatch auto against every forced \
-                   configuration (each partitioner; fault-sim word \
-                   widths 1/8/32, serial and pooled) per circuit, check \
-                   every configuration produces identical results, and \
-                   exit 1 when auto falls outside --gate of the best \
-                   forced mode. Writes BENCH_dispatch.json unless --out \
-                   overrides it.")
-  in
-  let gate =
-    Arg.(value & opt float Dispatch_compare.default_gate
-         & info [ "gate" ] ~docv:"FACTOR"
-             ~doc:"--compare: auto must stay within this factor of the \
-                   best comparable forced median per stage.")
-  in
   let dry_run =
     Arg.(value & flag
          & info [ "dry-run" ]
@@ -1026,16 +908,15 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~doc ~exits)
     Term.(const bench_run $ benchmarks $ repeat $ jobs $ out $ against
-          $ compare $ model_arg $ gate $ dry_run $ trace_arg)
+          $ dry_run $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* campaign                                                            *)
 
-let campaign_run profiles lk beta seed fault_cutover words no_drop
-    max_width min_coverage no_prune out probe probe_repeat dispatch model jobs
-    trace =
+let campaign_run profiles lk beta seed words no_drop max_width min_coverage
+    no_prune out probe probe_repeat jobs trace =
   wrap_status ?trace (fun () ->
-      let params = params_of ~fault_cutover lk beta seed in
+      let params = params_of lk beta seed in
       let plan =
         {
           Campaign.profiles;
@@ -1047,7 +928,6 @@ let campaign_run profiles lk beta seed fault_cutover words no_drop
           prune = not no_prune;
           probe;
           probe_repeat;
-          dispatch = dispatch_model dispatch model;
         }
       in
       with_jobs jobs (fun pool ->
@@ -1141,65 +1021,8 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc ~exits)
     Term.(const campaign_run $ profiles $ lk_arg $ beta_arg $ seed_arg
-          $ fault_cutover_arg $ words $ no_drop $ max_width
-          $ min_coverage $ no_prune $ out_term $ probe $ probe_repeat
-          $ dispatch_arg $ model_arg $ jobs_arg $ trace_arg)
-
-(* ------------------------------------------------------------------ *)
-(* calibrate                                                           *)
-
-let calibrate_run from out ridge trace =
-  wrap ?trace (fun () ->
-      if ridge < 0.0 then
-        raise
-          (Circuit.Error (Printf.sprintf "--ridge must be >= 0, got %g" ridge));
-      if not (Sys.file_exists from) then
-        raise
-          (Circuit.Error (Printf.sprintf "--from: no such BENCH file %S" from));
-      let entries =
-        Report.bench_entries_of_json
-          (In_channel.with_open_text from In_channel.input_all)
-      in
-      if entries = [] then
-        raise
-          (Circuit.Error
-             (Printf.sprintf "--from: %S holds no bench entries" from));
-      let m = Cost_model.fit ~ridge entries in
-      let oc = open_out out in
-      output_string oc (Cost_model.to_json m);
-      close_out oc;
-      Printf.printf "wrote %s (%d stages from %d entries, fingerprint %s)\n"
-        out
-        (List.length m.Cost_model.stages)
-        (List.length entries)
-        (Cost_model.fingerprint m))
-
-let calibrate_cmd =
-  let doc =
-    "Fit the per-stage cost model behind $(b,--dispatch auto) from a \
-     BENCH_pipeline.json sweep (ridge-regularised least squares over \
-     the per-entry circuit statistics) and write the versioned \
-     COST_MODEL.json artefact."
-  in
-  let from =
-    Arg.(value & opt string "BENCH_pipeline.json"
-         & info [ "from" ] ~docv:"FILE"
-             ~doc:"BENCH sweep to fit from (a $(b,merced bench) artefact; \
-                   its entries must carry circuit statistics).")
-  in
-  let out =
-    Arg.(value & opt string "COST_MODEL.json"
-         & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Where to write the fitted model.")
-  in
-  let ridge =
-    Arg.(value & opt float Cost_model.default_ridge
-         & info [ "ridge" ] ~docv:"LAMBDA"
-             ~doc:"Relative ridge weight of the fit (keeps the normal \
-                   equations well-posed with few circuits).")
-  in
-  Cmd.v (Cmd.info "calibrate" ~doc ~exits)
-    Term.(const calibrate_run $ from $ out $ ridge $ trace_arg)
+          $ words $ no_drop $ max_width $ min_coverage $ no_prune $ out_term
+          $ probe $ probe_repeat $ jobs_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1272,8 +1095,7 @@ let source_fields circuit =
   else [ ("circuit", Sjson.Str circuit) ]
 
 let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
-    ~fault_cutover ~dispatch ~model ~verbose ~rules ~max_width
-    ~benchmarks ~repeat ~ms ~timeout_ms ~progress =
+    ~verbose ~rules ~max_width ~benchmarks ~repeat ~ms ~timeout_ms ~progress =
   if stats then Sjson.Obj [ ("op", Sjson.Str "stats") ]
   else if shutdown then Sjson.Obj [ ("op", Sjson.Str "shutdown") ]
   else
@@ -1282,19 +1104,7 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
         ("lk", Sjson.Num (float_of_int lk));
         ("beta", Sjson.Num (float_of_int beta));
         ("seed", Sjson.Num (float_of_int seed));
-        ("fault_cutover", Sjson.Num (float_of_int fault_cutover));
       ]
-      @ (match dispatch with
-         | `Fixed -> []
-         | `Auto ->
-           (* the daemon may run on another machine: the model text ships
-              inline, like .bench files do. Load it first so a bad model
-              is this process's usage error, not a daemon error reply. *)
-           let m = Cost_model.load model in
-           [
-             ("dispatch", Sjson.Str "auto");
-             ("model", Sjson.Str (Cost_model.to_json m));
-           ])
       @ (match timeout_ms with
          | Some t -> [ ("timeout_ms", Sjson.Num (float_of_int t)) ]
          | None -> [])
@@ -1359,14 +1169,14 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
       in
       Sjson.Obj (op_fields @ common)
 
-let submit_run socket op circuit suite stats shutdown lk beta seed
-    fault_cutover dispatch model verbose rules max_width benchmarks repeat ms
-    timeout_ms progress meta retry_for trace =
+let submit_run socket op circuit suite stats shutdown lk beta seed verbose
+    rules max_width benchmarks repeat ms timeout_ms progress meta retry_for
+    trace =
   wrap_status ?trace (fun () ->
       let req =
         submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
-          ~fault_cutover ~dispatch ~model ~verbose ~rules
-          ~max_width ~benchmarks ~repeat ~ms ~timeout_ms ~progress
+          ~verbose ~rules ~max_width ~benchmarks ~repeat ~ms ~timeout_ms
+          ~progress
       in
       let on_progress ~stage phase =
         Printf.eprintf "progress: %s %s\n%!" stage
@@ -1499,7 +1309,7 @@ let submit_cmd =
   in
   Cmd.v (Cmd.info "submit" ~doc ~exits)
     Term.(const submit_run $ socket_arg $ op $ circuit $ suite $ stats
-          $ shutdown $ lk_arg $ beta_arg $ seed_arg $ fault_cutover_arg $ dispatch_arg $ model_arg $ verbose $ rules
+          $ shutdown $ lk_arg $ beta_arg $ seed_arg $ verbose $ rules
           $ max_width $ benchmarks $ repeat $ ms $ timeout_ms $ progress
           $ meta $ retry_for $ trace_arg)
 
@@ -1511,8 +1321,7 @@ let main_cmd =
   Cmd.group info
     [ stats_cmd; partition_cmd; generate_cmd; selftest_cmd; analyze_cmd;
       insert_cmd; retime_cmd; dot_cmd; sweep_cmd; check_cmd; fuzz_cmd;
-      lint_cmd; bench_cmd; campaign_cmd; calibrate_cmd; serve_cmd;
-      submit_cmd ]
+      lint_cmd; bench_cmd; campaign_cmd; serve_cmd; submit_cmd ]
 
 let () =
   let code = Cmd.eval' main_cmd in

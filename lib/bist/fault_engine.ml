@@ -650,9 +650,7 @@ module Batch = struct
     cutover : int;
   }
 
-  (* keep the cutover default in sync with Params.default.fault_cutover
-     (ppet_core sits above this library, so the constant cannot be
-     shared textually) *)
+  (* every front door runs these defaults *)
   let policy ?(words = 8) ?pool ?(drop = Drop) ?(cutover = 128) () =
     { words; pool; drop; cutover }
 

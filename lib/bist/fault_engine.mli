@@ -127,9 +127,9 @@ module Batch : sig
         (** segments with fewer member gates than this run serially even
             when a pool is supplied: the pooled dispatch (per-worker
             scratch plus the fork/join barrier) costs more than the
-            whole simulation at that size. The CLI threads
-            [Params.fault_cutover] (default 128, the measured knee — see
-            EXPERIMENTS.md, "fault-engine cutover") through here. *)
+            whole simulation at that size. The CLI, the daemon and the
+            campaign all run the {!policy} default, 128 (EXPERIMENTS.md,
+            "fault-engine cutover"). *)
   }
 
   val policy :
@@ -139,8 +139,9 @@ module Batch : sig
     ?cutover:int ->
     unit ->
     policy
-  (** Defaults: [words = 8], no pool, [Drop], [cutover = 128] (keep in
-      sync with [Params.default.fault_cutover]). *)
+  (** Defaults: [words = 8], no pool, [Drop], [cutover = 128]. Tests
+      and [bench/cutover.exe] pass [~cutover:1] to force the pooled
+      path on any segment. *)
 
   type outcome = {
     results : (Fault.t * bool) list;

@@ -49,16 +49,14 @@ let fault_workload c sim =
 
 let phase_list plan name ~has_comb =
   let serial =
-    [ "generate"; "flow"; "cluster"; "assign"; "retime"; "analysis";
-      "partition_fm"; "partition_annealing"; "partition_random" ]
+    [ "generate"; "flow"; "cluster"; "assign"; "retime"; "analysis" ]
   in
   let serial = List.map (fun p -> (name ^ "/" ^ p, 1)) serial in
   if not has_comb then serial
   else
     serial
     @ [ (name ^ "/fault_sim", 1) ]
-    @ (if plan.jobs > 1 then [ (name ^ "/fault_sim", plan.jobs) ] else [])
-    @ [ (name ^ "/fault_sim_w8", 1); (name ^ "/fault_sim_w32", 1) ]
+    @ if plan.jobs > 1 then [ (name ^ "/fault_sim", plan.jobs) ] else []
 
 (* Structural identity of the measured circuit, stamped on every entry:
    a baseline only means something against the same workload, so the
@@ -74,7 +72,7 @@ let stats_of c g =
     largest_cluster = 0;
   }
 
-(* the cost-model features the pre-compile stats cannot carry *)
+(* the partition shape the pre-compile stats cannot carry *)
 let stamp_partition_shape stats r =
   let segs = Merced.segments r in
   {
@@ -155,22 +153,10 @@ let run ?(progress = fun _ -> ()) plan =
         measure ~jobs:1 "retime" (fun () ->
             ignore (Merced.retiming_certificate r))
       in
-      (* the baseline partitioners, timed on the same graph and seed a
-         forced --partitioner run would get — the rows the cost model's
-         partitioner choice is fitted from *)
-      let baseline_entry phase f =
-        measure ~jobs:1 phase (fun () ->
-            ignore (f c g params (Prng.create params.Params.seed)))
-      in
-      let partition_entries =
-        [
-          baseline_entry "partition_fm" (fun c g p rng ->
-              (Baseline_fm.run c g p rng).Baseline_fm.result);
-          baseline_entry "partition_annealing" (fun c g p rng ->
-              (Baseline_annealing.run c g p rng).Baseline_annealing.result);
-          baseline_entry "partition_random" Baseline_random.run;
-        ]
-      in
+      (* the analysis row takes microseconds on small circuits, where
+         the major-GC work the compile above left pending would
+         dominate it; collect first so the row times the analysis *)
+      Gc.full_major ();
       let analysis_entry =
         measure ~jobs:1 "analysis" (fun () ->
             let sched = Ppet_analysis.Dataflow.prepare csr in
@@ -183,7 +169,6 @@ let run ?(progress = fun _ -> ()) plan =
           generate; flow_entry; cluster_entry; assign_entry; retime_entry;
           analysis_entry;
         ]
-        @ partition_entries
       in
       let sim = Simulator.create c in
       let entries =
@@ -192,10 +177,9 @@ let run ?(progress = fun _ -> ()) plan =
         | Some (engine, patterns, faults) ->
           (* words = 1: one pattern word per gate visit, the
              per-fault-pattern work of the committed baselines *)
-          let policy ?(words = 1) pool =
-            Fault_engine.Batch.policy ~words ?pool
-              ~drop:Fault_engine.Batch.Keep
-              ~cutover:params.Params.fault_cutover ()
+          let policy pool =
+            Fault_engine.Batch.policy ~words:1 ?pool
+              ~drop:Fault_engine.Batch.Keep ()
           in
           let fs1 =
             measure ~jobs:1 "fault_sim" (fun () ->
@@ -213,21 +197,10 @@ let run ?(progress = fun _ -> ()) plan =
                              ~patterns faults));
                   ])
           in
-          (* the multi-word kernels at the widths the dispatcher chooses
-             between; serial, so the word width is the only mover *)
-          let fsw words =
-            measure ~jobs:1
-              (Printf.sprintf "fault_sim_w%d" words)
-              (fun () ->
-                ignore
-                  (Fault_engine.Batch.run engine
-                     (policy ~words None)
-                     ~patterns faults))
-          in
-          serial @ (fs1 :: fsn) @ [ fsw 8; fsw 32 ]
+          serial @ (fs1 :: fsn)
       in
       (* restamp every row with the partition shape of the compiled
-         circuit: the cost model's segment features come from here *)
+         circuit, which the guard's workload check compares *)
       let full_stats = stamp_partition_shape stats r in
       List.map
         (fun (e : Report.bench_entry) ->

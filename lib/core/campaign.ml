@@ -25,7 +25,6 @@ type plan = {
   prune : bool;
   probe : string option;
   probe_repeat : int;
-  dispatch : Cost_model.t option;
 }
 
 let default_plan =
@@ -40,7 +39,6 @@ let default_plan =
     prune = true;
     probe = None;
     probe_repeat = 11;
-    dispatch = None;
   }
 
 type circuit_report = {
@@ -128,38 +126,12 @@ let generate name =
 let run_circuit ?pool plan name =
   let t0 = now_ns () in
   let c = generate name in
-  (* per-circuit auto-dispatch: the decision is a pure function of
-     (model, structural stats, pool width), so the report stays
-     deterministic — and the result-bearing knobs it may change
-     (partitioner, word width) do not depend on the pool width, keeping
-     the report byte-identical across --jobs *)
-  let decision =
-    Option.map
-      (fun m ->
-        let jobs_available =
-          match pool with Some p -> Domain_pool.jobs p | None -> 1
-        in
-        Cost_model.decide m ~jobs_available (Cost_model.stats_of_circuit c))
-      plan.dispatch
-  in
-  let params =
-    match decision with
-    | Some d -> Cost_model.apply_decision d plan.params
-    | None -> plan.params
-  in
-  let words =
-    match decision with Some d -> d.Cost_model.d_words | None -> plan.words
-  in
-  let pool =
-    match decision with Some d when d.Cost_model.d_jobs <= 1 -> None | _ -> pool
-  in
-  let r = Merced.run ~params c in
+  let r = Merced.run ~params:plan.params c in
   let sim = Simulator.create c in
   let segs = Merced.segments r in
   let policy =
-    Batch.policy ~words ?pool
-      ~drop:(if plan.drop then Batch.Drop else Batch.Keep)
-      ~cutover:params.Params.fault_cutover ()
+    Batch.policy ~words:plan.words ?pool
+      ~drop:(if plan.drop then Batch.Drop else Batch.Keep) ()
   in
   let uctx = if plan.prune then Some (Untestable.ctx c) else None in
   let tested = ref 0 and skipped = ref 0 in

@@ -41,21 +41,13 @@ type plan = {
           visit against [words] on this circuit and record it in the
           report *)
   probe_repeat : int; (** probe timing repetitions (median of) *)
-  dispatch : Cost_model.t option;
-      (** [--dispatch auto]: decide partitioner, word width, pool use
-          and cutover per circuit from this cost model, overriding
-          [params.partitioner], [params.fault_cutover] and [words]. The
-          decision is pure in (model, structural stats, pool width), and
-          the result-bearing knobs it changes (partitioner, words) do
-          not depend on the pool width — the report stays byte-identical
-          across [--jobs] *)
 }
 
 val default_plan : plan
 (** All seventeen paper profiles, default params, [words = 8], dropping
     on, [max_width] = the default [l_k] (16: every segment Merced
     builds by default is tested), no coverage gate, pruning on, no
-    probe, no auto-dispatch. The selftest and submit [--max-width] and
+    probe. The selftest and submit [--max-width] and
     the serve [selftest] op default to the same width. *)
 
 type circuit_report = {

@@ -55,10 +55,8 @@ let run ?(params = Params.default) ?locked circuit =
         (Scc_budget.n_components budget)
         (Scc_budget.dffs_on_scc budget));
   (* STEP 3: Assign_CBIT over the saturated network — or, when the
-     params select a baseline engine, its partition directly. The
-     baselines see the same graph and PRNG stream a forced
-     `--partitioner` run would, so an auto-dispatch decision and the
-     forced mode produce bit-identical assignments by construction. *)
+     params select a baseline engine, its partition directly, on the
+     same graph and PRNG stream. *)
   let rng = Prng.create params.Params.seed in
   let flow, clustering, assignment =
     match params.Params.partitioner with

@@ -13,8 +13,7 @@ type partitioner =
   | Random     (** random seeded growth ({!Baseline_random}) *)
 (** Which engine produces the partition assignment. [Flow] is the
     default and the quality reference; the baselines exist for the
-    ablation bench and for cost-driven dispatch on circuits where the
-    flow saturation dominates the wall clock. All four produce an
+    ablation bench and forced [--partitioner] runs. All four produce an
     {!Assign.t} honouring the [l_k] input constraint (baselines may
     leave oversize clusters, marked as such). *)
 
@@ -22,8 +21,7 @@ val partitioner_name : partitioner -> string
 val partitioner_of_name : string -> partitioner option
 
 val partitioners : partitioner list
-(** All four, [Flow] first — the forced-mode sweep of
-    [merced bench --compare] iterates this list. *)
+(** All four, [Flow] first. *)
 
 type t = {
   capacity : float;       (** b — net capacity in Saturate_Network *)
@@ -36,16 +34,7 @@ type t = {
   max_iterations : int;   (** safety bound on flow-injection rounds *)
   max_merge_candidates : int;
       (** Assign_CBIT candidate scan cap per step (quality/speed knob) *)
-  fault_cutover : int;
-      (** fault-simulation segments with fewer member gates than this
-          run serially even when a pool is supplied (default 128, the
-          measured knee — see EXPERIMENTS.md "fault-engine cutover").
-          Threaded into [Fault_engine.Batch.policy.cutover]; results are
-          identical at any value, only the wall clock moves. *)
-  partitioner : partitioner;
-      (** partition engine (default [Flow]). Unlike the perf-only knobs
-          this changes the compile result, so it is part of
-          {!fingerprint}. *)
+  partitioner : partitioner;  (** partition engine (default [Flow]) *)
 }
 
 val paper : t

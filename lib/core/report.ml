@@ -71,7 +71,7 @@ type bench_circuit = {
   edges : int;
   segments : int;
       (* Merced partition count; 0 = not stamped (pre-compile stats, or
-         an artefact from before the cost-model features landed) *)
+         an artefact from before the partition shape was stamped) *)
   largest_cluster : int;
       (* member gates of the biggest combinational segment; 0 = not
          stamped *)

@@ -26,22 +26,21 @@ type bench_circuit = {
   dffs : int;   (** flip-flops *)
   edges : int;  (** nets of the partition-view graph *)
   segments : int;
-      (** Merced partition count under default params; [0] = not stamped
-          (pre-compile stats, or an artefact recorded before the
-          cost-model features existed) *)
+      (** Merced partition count of the benched compile; [0] = not
+          stamped (pre-compile stats, or an artefact recorded before
+          the partition shape was stamped) *)
   largest_cluster : int;
       (** member gates of the biggest combinational segment; [0] = not
           stamped *)
 }
 (** Structural identity of a benchmark's workload, recorded so a
-    baseline can be rejected when the generated circuit changed shape —
-    and, since the cost model landed, the feature vector
-    {!Cost_model.features_of} predicts stage runtimes from. *)
+    baseline can be rejected when the generated circuit changed shape. *)
 
 val bench_stats_compatible : bench_circuit -> bench_circuit -> bool
 (** Same workload? The structural triple must agree exactly; the
     partition-shape fields only when both sides stamped them ([0] acts
-    as a wildcard so pre-cost-model baselines remain comparable). *)
+    as a wildcard so baselines recorded before the shape was stamped
+    remain comparable). *)
 
 type bench_entry = {
   entry_name : string;  (** e.g. ["s27/flow"] or ["fault_sim/cone"] *)

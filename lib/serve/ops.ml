@@ -6,8 +6,6 @@ module Segment = Ppet_netlist.Segment
 module S27 = Ppet_netlist.S27
 module Merced = Ppet_core.Merced
 module Report = Ppet_core.Report
-module Params = Ppet_core.Params
-module Cost_model = Ppet_core.Cost_model
 module Campaign = Ppet_core.Campaign
 module Fault_engine = Ppet_bist.Fault_engine
 module Assign = Ppet_core.Assign
@@ -54,24 +52,6 @@ let load_circuit_locked spec =
 let canonical c = Bench_writer.to_string c
 
 (* ------------------------------------------------------------------ *)
-(* auto-dispatch resolution                                            *)
-
-(* The one place a `--dispatch auto` request turns into concrete knobs,
-   shared by the one-shot CLI and the daemon so both front doors make
-   the same decision for the same circuit. The result-bearing knobs
-   (partitioner, word width, cutover) are independent of the pool
-   width, so CLI and daemon outputs stay byte-identical even when their
-   pools differ — only the jobs choice (wall clock) can diverge. *)
-let dispatch ?pool ~model ~params c =
-  let jobs_available =
-    match pool with
-    | Some p -> Ppet_parallel.Domain_pool.jobs p
-    | None -> 1
-  in
-  let d = Cost_model.decide model ~jobs_available (Cost_model.stats_of_circuit c) in
-  (Cost_model.apply_decision d params, d)
-
-(* ------------------------------------------------------------------ *)
 (* compile (the CLI's `partition`, human form)                         *)
 
 let compile ?(verbose = false) ?locked ~params c =
@@ -100,17 +80,11 @@ let compile ?(verbose = false) ?locked ~params c =
 (* ------------------------------------------------------------------ *)
 (* selftest                                                            *)
 
-let selftest ?pool ?words ~params ~max_width c =
+let selftest ?pool ~params ~max_width c =
   let r = Merced.run ~params c in
   let sim = Simulator.create c in
   let segments = Merced.segments r in
-  (* the batch policy the CLI and daemon share: the params cutover knob
-     decides when a segment is worth fanning out over the pool, and
-     [words] (from a dispatch decision) overrides the default width *)
-  let policy =
-    Fault_engine.Batch.policy ?words ?pool
-      ~cutover:params.Params.fault_cutover ()
-  in
+  let policy = Fault_engine.Batch.policy ?pool () in
   let buf = Buffer.create 512 in
   Printf.bprintf buf "circuit %s: %d segments\n" c.Circuit.title
     (List.length segments);

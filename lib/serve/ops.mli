@@ -38,31 +38,15 @@ val compile :
 (** The CLI's [partition] (human form): summary, retiming feasibility,
     per-partition lines with [verbose]. Exit code 0. *)
 
-val dispatch :
-  ?pool:Ppet_parallel.Domain_pool.t ->
-  model:Ppet_core.Cost_model.t ->
-  params:Ppet_core.Params.t ->
-  Ppet_netlist.Circuit.t ->
-  Ppet_core.Params.t * Ppet_core.Cost_model.decision
-(** Resolve [--dispatch auto] for one circuit: decide from the model
-    and the circuit's pre-compile stats, fold the params-level knobs
-    (partitioner, cutover) into [params], and hand back the full
-    decision (jobs, words) for the batch policy. The single resolution
-    point shared by the CLI and the daemon; the result-bearing knobs do
-    not depend on the pool width, so both front doors stay
-    byte-identical. *)
-
 val selftest :
   ?pool:Ppet_parallel.Domain_pool.t ->
-  ?words:int ->
   params:Ppet_core.Params.t ->
   max_width:int ->
   Ppet_netlist.Circuit.t ->
   outcome
 (** Partition, pseudo-exhaustively fault-test every segment no wider
-    than [max_width], print phasing and schedule. [words] overrides the
-    batch-engine word width (a dispatch decision's [d_words]). Exit
-    code 0. *)
+    than [max_width] under the default batch policy, print phasing and
+    schedule. Exit code 0. *)
 
 val analyze :
   ?pool:Ppet_parallel.Domain_pool.t ->

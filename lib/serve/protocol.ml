@@ -1,7 +1,6 @@
 module Params = Ppet_core.Params
 module Bench_runner = Ppet_core.Bench_runner
 module Campaign = Ppet_core.Campaign
-module Cost_model = Ppet_core.Cost_model
 
 (* ------------------------------------------------------------------ *)
 (* requests                                                            *)
@@ -29,7 +28,6 @@ type job =
 type job_request = {
   job : job;
   params : Params.t;
-  model : Cost_model.t option;
   timeout_ms : int option;
   progress : bool;
 }
@@ -62,10 +60,6 @@ let params_of_json j =
     | Some s -> Int64.of_int s
     | None -> d.Params.seed
   in
-  let fault_cutover =
-    Option.value ~default:d.Params.fault_cutover
-      (Json.int_member "fault_cutover" j)
-  in
   let* partitioner =
     match Json.str_member "partitioner" j with
     | None -> Ok d.Params.partitioner
@@ -79,28 +73,8 @@ let params_of_json j =
                 (List.map Params.partitioner_name Params.partitioners))
              name))
   in
-  let p =
-    { d with
-      Params.l_k = lk; beta; seed; fault_cutover; partitioner }
-  in
+  let p = { d with Params.l_k = lk; beta; seed; partitioner } in
   match Params.validate p with Ok () -> Ok p | Error msg -> Error msg
-
-(* "dispatch": "auto" ships the model inline as "model" (the daemon may
-   run on another machine); anything else than auto/fixed is a parse
-   error, as is a model that Cost_model.of_json rejects. *)
-let model_of_json j =
-  match Json.str_member "dispatch" j with
-  | None | Some "fixed" -> Ok None
-  | Some "auto" -> (
-    match Json.str_member "model" j with
-    | None -> Error "dispatch \"auto\" needs \"model\" (inline COST_MODEL.json text)"
-    | Some text -> (
-      match Cost_model.of_json text with
-      | Ok m -> Ok (Some m)
-      | Error msg -> Error (Printf.sprintf "model: %s" msg)))
-  | Some other ->
-    Error
-      (Printf.sprintf "dispatch must be \"auto\" or \"fixed\", not %S" other)
 
 let source_of_json j =
   match (Json.str_member "circuit" j, Json.str_member "bench" j) with
@@ -200,7 +174,6 @@ let job_of_json op j =
 let job_request_of_json op j =
   let* job = job_of_json op j in
   let* params = params_of_json j in
-  let* model = model_of_json j in
   let* timeout_ms =
     match Json.member "timeout_ms" j with
     | None -> Ok None
@@ -209,7 +182,7 @@ let job_request_of_json op j =
       | Some ms when ms > 0 -> Ok (Some ms)
       | _ -> Error "\"timeout_ms\" must be a positive integer")
   in
-  Ok { job; params; model; timeout_ms; progress = flag "progress" j }
+  Ok { job; params; timeout_ms; progress = flag "progress" j }
 
 let job_ops =
   [ "compile"; "lint"; "selftest"; "analyze"; "bench"; "campaign"; "sleep" ]

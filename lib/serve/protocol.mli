@@ -21,14 +21,10 @@
     A circuit is either [circuit] (a spec the server resolves: "s27", a
     benchmark name, a server-side path) or [bench] (inline .bench text,
     with optional [title] and [file] for diagnostics parity). Params
-    fields [lk], [beta], [seed], [fault_cutover], [partitioner] default
-    to the CLI defaults; keys the protocol does not know are ignored. [dispatch] = "auto" with
-    [model] (inline COST_MODEL.json text — the daemon may run on
-    another machine, so the model ships with the request) enables
-    per-circuit auto-dispatch; the parsed model rides on the request
-    and its fingerprint joins the cache key. [timeout_ms] bounds the
-    queue wait (running jobs are not preempted; only the cooperative
-    [sleep] op aborts mid-flight). *)
+    fields [lk], [beta], [seed], [partitioner] default to the CLI
+    defaults; keys the protocol does not know are ignored. [timeout_ms]
+    bounds the queue wait (running jobs are not preempted; only the
+    cooperative [sleep] op aborts mid-flight). *)
 
 type source =
   | Spec of string
@@ -53,10 +49,6 @@ type job =
 type job_request = {
   job : job;
   params : Ppet_core.Params.t;
-  model : Ppet_core.Cost_model.t option;
-      (** [dispatch = "auto"]: the cost model shipped with the request;
-          the server resolves per-circuit decisions through
-          {!Ops.dispatch} *)
   timeout_ms : int option;  (** queue-wait bound; [None] = server default *)
   progress : bool;          (** stream per-stage progress frames *)
 }

@@ -1,5 +1,4 @@
 module Params = Ppet_core.Params
-module Cost_model = Ppet_core.Cost_model
 module Circuit = Ppet_netlist.Circuit
 module Bench_parser = Ppet_netlist.Bench_parser
 module Check_error = Ppet_check.Error
@@ -270,24 +269,6 @@ let run_cached t ?emit ?key run =
 let execute t ?emit ~deadline (jreq : Protocol.job_request) =
   let params = jreq.Protocol.params in
   let params_fp = Params.fingerprint params in
-  (* auto-dispatch: resolve the request's cost model against each
-     circuit through the same Ops.dispatch the CLI uses. The model
-     fingerprint joins the cache key (the resolved params fingerprint
-     already covers partitioner/cutover; the fingerprint also covers
-     the word-width decision, which lives in the policy, not params). *)
-  let model = jreq.Protocol.model in
-  let model_extra =
-    match model with
-    | None -> ""
-    | Some m -> ";dispatch=" ^ Cost_model.fingerprint m
-  in
-  let resolve c =
-    match model with
-    | None -> (params, None)
-    | Some m ->
-      let p, d = Ops.dispatch ~model:m ~params c in
-      (p, Some d)
-  in
   match jreq.Protocol.job with
   | Protocol.Sleep { ms } ->
     let tr = Obs.create () in
@@ -319,23 +300,18 @@ let execute t ?emit ~deadline (jreq : Protocol.job_request) =
       }
   | Protocol.Compile { source; verbose } ->
     let c = circuit_of source in
-    let params, _ = resolve c in
     let key =
-      Cache.key ~op:"compile" ~params_fp:(Params.fingerprint params)
-        ~content:(Ops.canonical c)
-        ~extra:(Printf.sprintf "verbose=%b%s" verbose model_extra)
+      Cache.key ~op:"compile" ~params_fp ~content:(Ops.canonical c)
+        ~extra:(Printf.sprintf "verbose=%b" verbose)
     in
     run_cached t ?emit ~key (fun () -> Ops.compile ~verbose ~params c)
   | Protocol.Selftest { source; max_width } ->
     let c = circuit_of source in
-    let params, decision = resolve c in
-    let words = Option.map (fun d -> d.Cost_model.d_words) decision in
     let key =
-      Cache.key ~op:"selftest" ~params_fp:(Params.fingerprint params)
-        ~content:(Ops.canonical c)
-        ~extra:(Printf.sprintf "max_width=%d%s" max_width model_extra)
+      Cache.key ~op:"selftest" ~params_fp ~content:(Ops.canonical c)
+        ~extra:(Printf.sprintf "max_width=%d" max_width)
     in
-    run_cached t ?emit ~key (fun () -> Ops.selftest ?words ~params ~max_width c)
+    run_cached t ?emit ~key (fun () -> Ops.selftest ~params ~max_width c)
   | Protocol.Analyze { source; json } ->
     let c = circuit_of source in
     let key =
@@ -379,18 +355,16 @@ let execute t ?emit ~deadline (jreq : Protocol.job_request) =
         max_width;
         min_coverage;
         prune;
-        dispatch = model;
       }
     in
     (* cacheable: the human rendering carries no timings, so the same
-       profiles + knobs + params (+ dispatch model) always produce the
-       same bytes *)
+       profiles + knobs + params always produce the same bytes *)
     let key =
       Cache.key ~op:"campaign" ~params_fp
         ~content:(String.concat "," profiles)
         ~extra:
-          (Printf.sprintf "words=%d;drop=%b;mw=%d;mc=%h;prune=%b%s" words drop
-             max_width min_coverage prune model_extra)
+          (Printf.sprintf "words=%d;drop=%b;mw=%d;mc=%h;prune=%b" words drop
+             max_width min_coverage prune)
     in
     run_cached t ?emit ~key (fun () -> fst (Ops.campaign plan))
 

