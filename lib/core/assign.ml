@@ -304,7 +304,10 @@ let run ~csr c g (clustering : Cluster.t) (p : Params.t) rng =
       for t = 0 to len - 1 do
         let gi = arr.(t) in
         let pis = n_pis.(oi) + n_pis.(gi) in
-        let u = union oi gi (p.Params.l_k - pis) in
+        (* past [l_k - pis - bg] the gain falls below the best one,
+           and only equal gains compare [removed], so such a candidate
+           cannot win; [bg] is 0 until a candidate is found *)
+        let u = union oi gi (p.Params.l_k - pis - !bg) in
         if u >= 0 then begin
           let gain = p.Params.l_k - (u + pis) in
           let removed = ent_len.(oi) + ent_len.(gi) - u in

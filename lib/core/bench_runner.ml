@@ -108,9 +108,13 @@ let run ?(progress = fun _ -> ()) plan =
       let c = circuit_of name in
       let g = To_graph.partition_view c in
       let stats = stats_of c g in
+      (* every row starts from a collected heap: a microsecond stage
+         timed after a compile would otherwise also time the major-GC
+         work the compile left pending *)
       let measure ~jobs phase f =
         let entry_name = name ^ "/" ^ phase in
         progress entry_name;
+        Gc.full_major ();
         let s = Bench_stat.measure ~repeat:plan.repeat f in
         {
           Report.entry_name;
@@ -153,10 +157,6 @@ let run ?(progress = fun _ -> ()) plan =
         measure ~jobs:1 "retime" (fun () ->
             ignore (Merced.retiming_certificate r))
       in
-      (* the analysis row takes microseconds on small circuits, where
-         the major-GC work the compile above left pending would
-         dominate it; collect first so the row times the analysis *)
-      Gc.full_major ();
       let analysis_entry =
         measure ~jobs:1 "analysis" (fun () ->
             let sched = Ppet_analysis.Dataflow.prepare csr in

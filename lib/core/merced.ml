@@ -190,53 +190,55 @@ let solve_requirements r =
     if required.(rg.Rgraph.edges.(e).Rgraph.tail) then 1 else 0
   in
   (* One flat solver reused across the whole drop loop: the constraint
-     arcs and scratch are built once, each attempt only refreshes the
-     arc lengths. An infeasible attempt reports every cycle of the
-     solver's predecessor forest at once; each is a genuine negative
-     cycle of the system it was found in. Each aborted attempt resumes
-     from its own label state (warm), so a round costs only the
-     relaxations past the previous abort instead of a full cold solve.
-     Warm fixpoints are feasible but not canonical, so once a warm
-     attempt converges we re-solve cold for the canonical rho (the one
-     the reference solver [Retime.solve] also produces). *)
+     arcs and scratch are built once. An infeasible attempt reports
+     every cycle of the solver's predecessor forest at once; each is a
+     genuine negative cycle of the system it was found in. A dropped
+     requirement rewrites only the arcs of its own edges, and the next
+     attempt resumes from the aborted one's labels and queue, so a round
+     costs only the relaxations past the previous abort instead of a
+     full cold solve or a scan of every arc. Resumed fixpoints are
+     feasible but not canonical, so once a resumed attempt converges we
+     re-solve cold for the canonical rho (the one the reference solver
+     [Retime.solve] also produces). *)
   let solver = Retime.Solver.create rg in
-  let warm = ref None in
-  let solve () =
-    match Retime.Solver.run_cycles solver ?warm:!warm ~require with
-    | Error cycles ->
-      warm := Some (Retime.Solver.potentials solver);
-      Error cycles
-    | Ok rho ->
-      (match !warm with
-       | None -> Ok rho
-       | Some _ ->
-         warm := None;
-         Retime.Solver.run_cycles solver ~require)
+  let resumed = ref false in
+  let settle = function
+    | Ok _ when !resumed ->
+      resumed := false;
+      Retime.Solver.run_cycles solver ~require
+    | outcome -> outcome
+  in
+  let resume () =
+    resumed := true;
+    settle (Retime.Solver.resume solver)
+  in
+  let drop v =
+    required.(v) <- false;
+    Retime.Solver.release solver v
   in
   let dropped = ref 0 in
-  let rec attempt () =
-    match solve () with
+  let rec attempt = function
     | Ok rho -> Some rho
     | Error cycles ->
       let progressed = ref false in
       List.iter
         (List.iter (fun v ->
              if required.(v) then begin
-               required.(v) <- false;
+               drop v;
                incr dropped;
                progressed := true
              end))
         cycles;
-      if !progressed then attempt ()
+      if !progressed then attempt (resume ())
       else begin
         (* no cycle carries a requirement we can drop; give up on all *)
-        Array.fill required 0 (Array.length required) false;
-        match solve () with
+        Array.iteri (fun v r -> if r then drop v) required;
+        match resume () with
         | Ok rho -> Some rho
         | Error _ -> None
       end
   in
-  let rho = attempt () in
+  let rho = attempt (Retime.Solver.run_cycles solver ~require) in
   let required =
     let acc = ref [] in
     for v = Array.length required - 1 downto 0 do

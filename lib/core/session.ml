@@ -41,13 +41,13 @@ module Sliced_misr = struct
 end
 
 (* Remap a fault whose site uses original node ids onto the testable
-   netlist by signal name. *)
-let remap_fault original testable f =
+   netlist by signal name, through the testable netlist's name index. *)
+let remap_fault original find f =
   let name id = (Circuit.node original id).Circuit.name in
   let resolve id =
-    match Circuit.find testable (name id) with
-    | id' -> id'
-    | exception Not_found ->
+    match find (name id) with
+    | Some id' -> id'
+    | None ->
       invalid_arg
         (Printf.sprintf "Session.run: signal %S not in the testable netlist"
            (name id))
@@ -78,11 +78,10 @@ let run ?(max_burst = 1024) ?faults ?(observe_pos = true) ?pool (t : Testable.t)
      longer than 2^wmax keeps adding new stimulus; truncation is only
      flagged relative to the exhaustive count *)
   let burst = max_burst in
-  let cell_ids =
-    List.map (fun cl -> Circuit.find testable cl.Testable.q_name) t.Testable.cells
-  in
+  let find = Circuit.name_index testable in
+  let pin name = match find name with Some id -> id | None -> raise Not_found in
+  let cell_ids = List.map (fun cl -> pin cl.Testable.q_name) t.Testable.cells in
   (* control pins *)
-  let pin name = Circuit.find testable name in
   let test_en = pin t.Testable.test_en
   and fb_en = pin t.Testable.fb_en
   and psa_en = pin t.Testable.psa_en
@@ -126,7 +125,7 @@ let run ?(max_burst = 1024) ?faults ?(observe_pos = true) ?pool (t : Testable.t)
       List.iteri
         (fun lane_minus_1 f ->
           let lane_bit = 1 lsl (lane_minus_1 + 1) in
-          let f' = remap_fault original testable f in
+          let f' = remap_fault original find f in
           match f'.Fault.site with
           | Fault.Output id ->
             if f'.Fault.stuck_at then out_set.(id) <- out_set.(id) lor lane_bit
@@ -148,7 +147,7 @@ let run ?(max_burst = 1024) ?faults ?(observe_pos = true) ?pool (t : Testable.t)
       List.iter
         (fun (g : Testable.cbit_group) ->
           match g.Testable.cell_names with
-          | first :: _ -> state.(Circuit.find testable first) <- word_mask
+          | first :: _ -> state.(pin first) <- word_mask
           | [] -> ())
         t.Testable.groups;
       let observer = Sliced_misr.create ~width:16 in

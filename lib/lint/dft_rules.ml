@@ -96,21 +96,23 @@ let cell_placement (r : Merced.result) (t : Testable.t) =
              ~hint:"each cut net needs exactly one A_CELL"
              "cut net %d has %d cells" e n))
     cut;
-  if t.Testable.cells <> [] then
+  if t.Testable.cells <> [] then begin
+    let find = Circuit.name_index t.Testable.circuit in
     List.iter
       (fun name ->
-        match Circuit.find t.Testable.circuit name with
-        | id ->
+        match find name with
+        | Some id ->
           if (Circuit.node t.Testable.circuit id).Circuit.kind <> Gate.Input
           then
             add
               (err ~rule:"cell-placement" ~locus:name
                  "control signal is not a primary input")
-        | exception Not_found ->
+        | None ->
           add
             (err ~rule:"cell-placement" ~locus:name
                "control input is missing from the testable netlist"))
-      (control_inputs t);
+      (control_inputs t)
+  end;
   List.rev !diags
 
 (* ------------------------------------------------------------------ *)
@@ -136,15 +138,16 @@ let scan_chain (r : Merced.result) (t : Testable.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let tc = t.Testable.circuit in
+  let find = Circuit.name_index tc in
   let prev = ref t.Testable.scan_in in
   List.iteri
     (fun i (cl : Testable.cell) ->
-      (match Circuit.find tc cl.Testable.q_name with
-       | exception Not_found ->
+      (match find cl.Testable.q_name with
+       | None ->
          add
            (err ~rule:"scan-chain" ~locus:cl.Testable.q_name
               "cell register is missing from the testable netlist")
-       | q ->
+       | Some q ->
          let nd = Circuit.node tc q in
          if nd.Circuit.kind <> Gate.Dff then
            add
@@ -152,12 +155,12 @@ let scan_chain (r : Merced.result) (t : Testable.t) =
                 "cell register is a %s, not a DFF" (Gate.name nd.Circuit.kind))
          else begin
            let boundary = load_cone tc nd.Circuit.fanins.(0) in
-           match Circuit.find tc !prev with
-           | exception Not_found ->
+           match find !prev with
+           | None ->
              add
                (err ~rule:"scan-chain" ~locus:cl.Testable.q_name
                   "predecessor %s does not exist" !prev)
-           | p ->
+           | Some p ->
              if not (Hashtbl.mem boundary p) then
                add
                  (err ~rule:"scan-chain" ~locus:cl.Testable.q_name

@@ -48,6 +48,82 @@ let compute_levels nodes =
   done;
   level
 
+let check_arity nd =
+  if not (Gate.arity_ok nd.kind (Array.length nd.fanins)) then
+    error "gate %S: %s cannot take %d inputs" nd.name (Gate.name nd.kind)
+      (Array.length nd.fanins)
+
+let check_sources title nodes =
+  if not (Array.exists (fun nd -> nd.kind = Gate.Input || nd.kind = Gate.Dff) nodes)
+  then error "circuit %S has neither primary inputs nor flip-flops" title
+
+(* The tail every constructor shares, once fanins and outputs are
+   resolved ids: the derived PI list and fanout index, and the
+   combinational-cycle check. *)
+let seal title nodes outputs =
+  let n = Array.length nodes in
+  let inputs =
+    Array.of_list
+      (List.filter_map
+         (fun nd -> if nd.kind = Gate.Input then Some nd.id else None)
+         (Array.to_list nodes))
+  in
+  let fanout_count = Array.make n 0 in
+  Array.iter
+    (fun nd ->
+      Array.iter (fun f -> fanout_count.(f) <- fanout_count.(f) + 1) nd.fanins)
+    nodes;
+  let fanouts = Array.init n (fun id -> Array.make fanout_count.(id) 0) in
+  let fill = Array.make n 0 in
+  Array.iter
+    (fun nd ->
+      Array.iter
+        (fun f ->
+          fanouts.(f).(fill.(f)) <- nd.id;
+          fill.(f) <- fill.(f) + 1)
+        nd.fanins)
+    nodes;
+  let c = { title; nodes; inputs; outputs; fanouts } in
+  ignore (compute_levels nodes);
+  c
+
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let of_nodes ~title nodes ~outputs =
+  let n = Array.length nodes in
+  if n = 0 then error "empty circuit %S" title;
+  let names = Names.create (2 * n) in
+  Array.iteri
+    (fun i nd ->
+      if nd.id <> i then error "signal %S: id %d at position %d" nd.name nd.id i;
+      if Names.mem names nd.name then error "duplicate definition of signal %S" nd.name;
+      Names.add names nd.name i)
+    nodes;
+  Array.iter
+    (fun nd ->
+      Array.iter
+        (fun f ->
+          if f < 0 || f >= n then
+            error "gate %S references undefined signal #%d" nd.name f)
+        nd.fanins;
+      check_arity nd)
+    nodes;
+  check_sources title nodes;
+  Array.iter
+    (fun o ->
+      if o < 0 || o >= n then
+        error "primary output list references undefined signal #%d" o)
+    outputs;
+  seal title nodes outputs
+
+(* Names get their ids when they are declared, in the one table that
+   also rejects duplicates; [finish] resolves every reference through
+   it and hands ids to the same checks [of_nodes] makes. *)
 module Builder = struct
   type pending = {
     p_name : string;
@@ -59,15 +135,15 @@ module Builder = struct
     b_title : string;
     mutable rev_pending : pending list;
     mutable rev_outputs : string list;
-    defined : (string, unit) Hashtbl.t;
+    ids : int Names.t;
   }
 
   let create title =
-    { b_title = title; rev_pending = []; rev_outputs = []; defined = Hashtbl.create 64 }
+    { b_title = title; rev_pending = []; rev_outputs = []; ids = Names.create 64 }
 
   let define b name =
-    if Hashtbl.mem b.defined name then error "duplicate definition of signal %S" name;
-    Hashtbl.add b.defined name ()
+    if Names.mem b.ids name then error "duplicate definition of signal %S" name;
+    Names.add b.ids name (Names.length b.ids)
 
   let add_input b name =
     define b name;
@@ -85,59 +161,35 @@ module Builder = struct
 
   let finish b =
     let pendings = Array.of_list (List.rev b.rev_pending) in
-    let n = Array.length pendings in
-    if n = 0 then error "empty circuit %S" b.b_title;
-    let by_name = Hashtbl.create (2 * n) in
-    Array.iteri (fun id p -> Hashtbl.replace by_name p.p_name id) pendings;
-    let resolve ctx name =
-      match Hashtbl.find_opt by_name name with
-      | Some id -> id
-      | None -> error "%s references undefined signal %S" ctx name
-    in
+    if Array.length pendings = 0 then error "empty circuit %S" b.b_title;
     let nodes =
       Array.mapi
         (fun id p ->
-          let fanins =
-            Array.of_list
-              (List.map (resolve (Printf.sprintf "gate %S" p.p_name)) p.p_fanins)
+          let resolve name =
+            match Names.find_opt b.ids name with
+            | Some f -> f
+            | None -> error "gate %S references undefined signal %S" p.p_name name
           in
-          if not (Gate.arity_ok p.p_kind (Array.length fanins)) then
-            error "gate %S: %s cannot take %d inputs" p.p_name
-              (Gate.name p.p_kind) (Array.length fanins);
-          { id; name = p.p_name; kind = p.p_kind; fanins })
+          let nd =
+            { id; name = p.p_name; kind = p.p_kind;
+              fanins = Array.of_list (List.map resolve p.p_fanins) }
+          in
+          check_arity nd;
+          nd)
         pendings
     in
-    let inputs =
-      Array.of_list
-        (List.filter_map
-           (fun nd -> if nd.kind = Gate.Input then Some nd.id else None)
-           (Array.to_list nodes))
-    in
-    let has_dff = Array.exists (fun nd -> nd.kind = Gate.Dff) nodes in
-    if Array.length inputs = 0 && not has_dff then
-      error "circuit %S has neither primary inputs nor flip-flops" b.b_title;
+    check_sources b.b_title nodes;
     let outputs =
       Array.of_list
-        (List.rev_map (resolve "primary output list") b.rev_outputs)
+        (List.rev_map
+           (fun name ->
+             match Names.find_opt b.ids name with
+             | Some id -> id
+             | None ->
+               error "primary output list references undefined signal %S" name)
+           b.rev_outputs)
     in
-    let fanout_count = Array.make n 0 in
-    Array.iter
-      (fun nd ->
-        Array.iter (fun f -> fanout_count.(f) <- fanout_count.(f) + 1) nd.fanins)
-      nodes;
-    let fanouts = Array.init n (fun id -> Array.make fanout_count.(id) 0) in
-    let fill = Array.make n 0 in
-    Array.iter
-      (fun nd ->
-        Array.iter
-          (fun f ->
-            fanouts.(f).(fill.(f)) <- nd.id;
-            fill.(f) <- fill.(f) + 1)
-          nd.fanins)
-      nodes;
-    let c = { title = b.b_title; nodes; inputs; outputs; fanouts } in
-    ignore (compute_levels nodes);
-    c
+    seal b.b_title nodes outputs
 end
 
 let find c name =
@@ -148,6 +200,14 @@ let find c name =
     else loop (i + 1)
   in
   loop 0
+
+let name_index c =
+  let names = Names.create (2 * Array.length c.nodes) in
+  (* walk down, so a repeated name keeps its first id, as [find] does *)
+  for id = Array.length c.nodes - 1 downto 0 do
+    Names.replace names c.nodes.(id).name id
+  done;
+  Names.find_opt names
 
 let node c id = c.nodes.(id)
 

@@ -7,7 +7,8 @@
 
     Build circuits through {!Builder}, which permits ISCAS89-style forward
     references and validates the result (defined signals, legal arities,
-    no purely combinational cycles). *)
+    no purely combinational cycles), or through {!of_nodes} when every
+    node id is known up front. *)
 
 type node = {
   id : int;
@@ -27,6 +28,15 @@ type t = private {
 
 exception Error of string
 (** Raised on malformed circuits with a human-readable reason. *)
+
+val of_nodes : title:string -> node array -> outputs:int array -> t
+(** [of_nodes ~title nodes ~outputs] with [nodes.(i).id = i] and fanins
+    and outputs given as node ids. Makes every check {!Builder.finish}
+    makes, with the same messages where a name is known: no nodes,
+    duplicate signal names, fanins outside the node array, illegal
+    arities, neither primary inputs nor flip-flops, output ids outside
+    the node array, and combinational cycles; also a node whose id is
+    not its position. Raises {!Error}. *)
 
 module Builder : sig
   type circuit := t
@@ -51,7 +61,14 @@ module Builder : sig
 end
 
 val find : t -> string -> int
-(** Node id by signal name. Raises [Not_found]. *)
+(** Node id by signal name, by a scan over the nodes. Raises
+    [Not_found]. *)
+
+val name_index : t -> string -> int option
+(** [name_index c] hashes every signal name once and returns the
+    lookup: [name_index c name] is [Some (find c name)], or [None] where
+    {!find} raises. Apply it to [c] once and keep the function when
+    looking up many names. *)
 
 val node : t -> int -> node
 

@@ -120,6 +120,7 @@ module Solver = struct
     arc_off : int array;   (* n+1: constraint arcs grouped by source *)
     arc_to : int array;
     arc_edge : int array;  (* rgraph edge behind the arc, -1 = pinned tie *)
+    edge_arc : int array;  (* the inverse: arc of each rgraph edge *)
     arc_len : int array;   (* weight - require, refreshed per run *)
     dist : int array;
     pred : int array;
@@ -127,6 +128,11 @@ module Solver = struct
     in_queue : bool array;
     queue : int array;     (* ring buffer, capacity n+1 *)
     color : int array;     (* scratch for the pred-forest cycle sweep *)
+    mutable qhead : int;   (* the queue an aborted run left *)
+    mutable qtail : int;
+    mutable scanning : int;  (* vertex whose arcs the cutoff interrupted *)
+    mutable tripped : int;   (* vertex whose relax count crossed n *)
+    mutable aborted : bool;
   }
 
   let create g =
@@ -158,11 +164,13 @@ module Solver = struct
     done;
     let arc_to = Array.make (max n_arcs 1) 0 in
     let arc_edge = Array.make (max n_arcs 1) (-1) in
+    let edge_arc = Array.make n_edges 0 in
     let fill = Array.make n 0 in
     let put u target edge =
       let i = arc_off.(u) + fill.(u) in
       arc_to.(i) <- target;
       arc_edge.(i) <- edge;
+      if edge >= 0 then edge_arc.(edge) <- i;
       fill.(u) <- fill.(u) + 1
     in
     (* edge arcs first (ascending edge index per source) ... *)
@@ -184,6 +192,7 @@ module Solver = struct
       arc_off;
       arc_to;
       arc_edge;
+      edge_arc;
       arc_len = Array.make (max n_arcs 1) 0;
       dist = Array.make (max n 1) 0;
       pred = Array.make (max n 1) (-1);
@@ -191,6 +200,11 @@ module Solver = struct
       in_queue = Array.make (max n 1) false;
       queue = Array.make (n + 1) 0;
       color = Array.make (max n 1) 0;
+      qhead = 0;
+      qtail = 0;
+      scanning = -1;
+      tripped = -1;
+      aborted = false;
     }
 
   let refresh_lengths s ~require =
@@ -292,56 +306,36 @@ module Solver = struct
     | Rsweep of int      (* vertex on a pred cycle, found by the sweep *)
     | Rcutoff of int     (* vertex whose relax count crossed n *)
 
-  let run_raw ?warm s ~require =
-    Ppet_obs.Obs.span "retime.solve" @@ fun () ->
+  let enqueue s u =
+    s.in_queue.(u) <- true;
+    s.queue.(s.qtail) <- u;
+    s.qtail <- (if s.qtail = s.n then 0 else s.qtail + 1)
+
+  (* some constraint arc leaving [u] is violated *)
+  let violated s u =
+    let du = s.dist.(u) in
+    let i = ref s.arc_off.(u) and hi = s.arc_off.(u + 1) in
+    while !i < hi && du + s.arc_len.(!i) >= s.dist.(s.arc_to.(!i)) do
+      incr i
+    done;
+    !i < hi
+
+  (* Queue-based relaxation from the current [dist] and queue. On an
+     abort the labels, the queue, the vertex whose arc scan was cut
+     short and the vertex whose count tripped stay in [s] for
+     [resume]. *)
+  let relax s =
     let n = s.n in
-    refresh_lengths s ~require;
     let dist = s.dist and pred = s.pred in
     let relax_count = s.relax_count and in_queue = s.in_queue in
     let queue = s.queue in
     let arc_off = s.arc_off and arc_to = s.arc_to and arc_len = s.arc_len in
     let qcap = n + 1 in
-    let qhead = ref 0 and qtail = ref 0 in
+    let qhead = ref s.qhead and qtail = ref s.qtail in
     Array.fill pred 0 n (-1);
     Array.fill relax_count 0 n 0;
-    (match warm with
-     | None ->
-       (* cold: the all-zero potential, every vertex queued — the exact
-          start state of the list-based solver *)
-       Array.fill dist 0 n 0;
-       Array.fill in_queue 0 n true;
-       for v = 0 to n - 1 do
-         queue.(v) <- v
-       done;
-       qtail := n
-     | Some potential ->
-       (* warm: start from any potential — a previously feasible one or
-          the label state of an aborted run — and queue only the sources
-          of violated constraints. Sound (any relaxation fixpoint
-          satisfies every constraint; the pred forest is rebuilt from
-          scratch, so a predecessor cycle still certifies an
-          over-constrained loop of the current system) but NOT
-          canonical: a warm feasible answer is whatever fixpoint the
-          start point leads to, so only cold runs are used where
-          the canonical result matters. *)
-       if Array.length potential <> n then
-         invalid_arg "Retime.Solver.run: warm potential of wrong length";
-       Array.blit potential 0 dist 0 n;
-       Array.fill in_queue 0 n false;
-       for u = 0 to n - 1 do
-         if not in_queue.(u) then begin
-           let lo = s.arc_off.(u) and hi = s.arc_off.(u + 1) in
-           let i = ref lo in
-           while !i < hi && not in_queue.(u) do
-             if dist.(u) + s.arc_len.(!i) < dist.(s.arc_to.(!i)) then begin
-               in_queue.(u) <- true;
-               queue.(!qtail) <- u;
-               qtail := (!qtail + 1) mod qcap
-             end;
-             incr i
-           done
-         end
-       done);
+    s.scanning <- -1;
+    s.tripped <- -1;
     let neg_vertex = ref (-1) in
     let cycle_vertex = ref (-1) in
     let relaxations = ref 0 in
@@ -377,6 +371,7 @@ module Solver = struct
              Array.unsafe_set relax_count v rc;
              if rc > n then begin
                neg_vertex := v;
+               s.scanning <- u;
                raise Exit
              end;
              if not (Array.unsafe_get in_queue v) then begin
@@ -389,13 +384,56 @@ module Solver = struct
          done
        done
      with Exit -> ());
+    s.qhead <- !qhead;
+    s.qtail <- !qtail;
+    s.tripped <- !neg_vertex;
     Ppet_obs.Obs.add Ppet_obs.Obs.Metric.Bf_relaxations !relaxations;
-    if !cycle_vertex >= 0 then Rsweep !cycle_vertex
-    else if !neg_vertex >= 0 then Rcutoff !neg_vertex
+    if !cycle_vertex >= 0 then begin
+      s.aborted <- true;
+      Rsweep !cycle_vertex
+    end
+    else if !neg_vertex >= 0 then begin
+      s.aborted <- true;
+      Rcutoff !neg_vertex
+    end
     else begin
+      s.aborted <- false;
       let shift = if s.first_pinned >= 0 then dist.(s.first_pinned) else 0 in
       Rfeasible (Array.init n (fun v -> dist.(v) - shift))
     end
+
+  let run_raw ?warm s ~require =
+    Ppet_obs.Obs.span "retime.solve" @@ fun () ->
+    let n = s.n in
+    refresh_lengths s ~require;
+    s.qhead <- 0;
+    s.qtail <- 0;
+    (match warm with
+     | None ->
+       (* cold: the all-zero potential, every vertex queued — the exact
+          start state of the list-based solver *)
+       Array.fill s.dist 0 n 0;
+       for v = 0 to n - 1 do
+         enqueue s v
+       done
+     | Some potential ->
+       (* warm: start from any potential — a previously feasible one or
+          the label state of an aborted run — and queue only the sources
+          of violated constraints. Sound (any relaxation fixpoint
+          satisfies every constraint; the pred forest is rebuilt from
+          scratch, so a predecessor cycle still certifies an
+          over-constrained loop of the current system) but NOT
+          canonical: a warm feasible answer is whatever fixpoint the
+          start point leads to, so only cold runs are used where
+          the canonical result matters. *)
+       if Array.length potential <> n then
+         invalid_arg "Retime.Solver.run: warm potential of wrong length";
+       Array.blit potential 0 s.dist 0 n;
+       Array.fill s.in_queue 0 n false;
+       for u = 0 to n - 1 do
+         if violated s u then enqueue s u
+       done);
+    relax s
 
   let run ?warm s ~require =
     match run_raw ?warm s ~require with
@@ -403,10 +441,43 @@ module Solver = struct
     | Rsweep w -> Infeasible (collect_cycle s w)
     | Rcutoff v -> Infeasible (extract_cycle s v)
 
-  let run_cycles ?warm s ~require =
-    match run_raw ?warm s ~require with
+  let result s = function
     | Rfeasible rho -> Ok rho
     | Rsweep _ | Rcutoff _ -> Error (pred_cycles_all s)
+
+  let run_cycles ?warm s ~require = result s (run_raw ?warm s ~require)
+
+  let release s v =
+    let outs = s.g.Rgraph.out_edges.(v) in
+    for k = 0 to Array.length outs - 1 do
+      let e = outs.(k) in
+      let a = s.edge_arc.(e) in
+      if s.arc_len.(a) >= s.g.Rgraph.edges.(e).Rgraph.weight then
+        invalid_arg "Retime.Solver.release: no requirement to release";
+      s.arc_len.(a) <- s.arc_len.(a) + 1
+    done
+
+  (* The warm start from the aborted labels, without scanning every
+     arc: a vertex outside the aborted queue had every arc satisfied
+     (relaxation re-queues a vertex whenever its label drops), except
+     the one whose scan the cutoff interrupted and the one whose label
+     it had just lowered; and releasing a requirement only lengthens
+     arcs. So the vertices with a violated arc are those candidates that
+     still have one, and queued in ascending order they are exactly the
+     queue the warm start above would build. *)
+  let resume s =
+    if not s.aborted then invalid_arg "Retime.Solver.resume: no aborted run";
+    Ppet_obs.Obs.span "retime.solve" @@ fun () ->
+    if s.scanning >= 0 then s.in_queue.(s.scanning) <- true;
+    if s.tripped >= 0 then s.in_queue.(s.tripped) <- true;
+    s.qhead <- 0;
+    s.qtail <- 0;
+    for u = 0 to s.n - 1 do
+      if s.in_queue.(u) then begin
+        if violated s u then enqueue s u else s.in_queue.(u) <- false
+      end
+    done;
+    result s (relax s)
 
   let potentials s = Array.sub s.dist 0 s.n
 end
@@ -458,105 +529,100 @@ let push_head (e : Rgraph.edge) v =
   e.Rgraph.inits <- e.Rgraph.inits @ [ v ];
   e.Rgraph.weight <- e.Rgraph.weight + 1
 
+(* Elementary moves, each a dataflow firing: a forward move of [v]
+   takes one register from the head of every in-edge and puts one on
+   the tail of every out-edge; a backward move takes one from the tail
+   of every out-edge and puts one on the head of every in-edge. Each
+   edge is a FIFO, each firing computes its output from the values it
+   takes, and a firing that is ready stays ready until it fires (an
+   edge read at both ends only loses registers, and legality leaves it
+   enough for both). The values on every edge, and which moves can be
+   made at all, are therefore the same in every order the moves are
+   made in — so the pass fires from a worklist, re-examining only the
+   vertices a move can have made ready, instead of sweeping every
+   vertex until nothing moves.
+
+   A backward move justifies a register value with ONE preimage; with
+   reconvergent fanout, justifications arriving over different paths
+   may contradict each other (the meet of the popped values is empty).
+   Degrading only the meet point to X is unsound: the conflicting
+   claims have already committed concrete preimage bits elsewhere, and
+   those commitments describe a pre-history that does not exist — the
+   emitted machine then concretely diverges from the original in its
+   first cycles. Any conflict therefore condemns the whole constructive
+   pass, so it stops there, and the result is the X fallback below
+   (initial values supplied by the scan chain), which is always safe. *)
 let apply g rho =
   if not (is_legal g rho) then invalid_arg "Retime.apply: illegal retiming";
   Ppet_obs.Obs.span "retime.apply" @@ fun () ->
   let work = Rgraph.copy g in
   let n = Rgraph.n_vertices work in
+  let edges = work.Rgraph.edges in
   let rem = Array.copy rho in
-  let progress = ref true in
-  (* A backward move justifies a register value with ONE preimage; with
-     reconvergent fanout, justifications arriving over different paths
-     may contradict each other (the meet of the popped values is empty).
-     Degrading only the meet point to X is unsound: the conflicting
-     claims have already committed concrete preimage bits elsewhere, and
-     those commitments describe a pre-history that does not exist — the
-     emitted machine then concretely diverges from the original in its
-     first cycles. Any conflict therefore taints the whole constructive
-     pass and we fall back to X initial values (scan-supplied), which is
-     always safe. *)
-  let tainted = ref false in
-  let remaining () = Array.exists (fun r -> r <> 0) rem in
-  while remaining () && !progress do
-    progress := false;
-    for v = 0 to n - 1 do
-      match gate_kind work v with
-      | None -> ()
-      | Some kind ->
-        if rem.(v) < 0 then begin
-          (* forward move: one register from every in-edge to every
-             out-edge, value computed through the gate *)
-          let ins = work.Rgraph.in_edges.(v) in
-          let ready =
-            Array.for_all
-              (fun ei -> work.Rgraph.edges.(ei).Rgraph.weight > 0)
-              ins
-          in
-          if ready then begin
-            let pins =
-              Array.map (fun ei -> pop_head work.Rgraph.edges.(ei)) ins
-            in
-            let value = Logic3.eval kind pins in
-            Array.iter
-              (fun ei -> push_tail work.Rgraph.edges.(ei) value)
-              work.Rgraph.out_edges.(v);
-            rem.(v) <- rem.(v) + 1;
-            progress := true
-          end
-        end
-        else if rem.(v) > 0 then begin
-          (* backward move: justify a register from the outputs back to
-             the inputs *)
-          let outs = work.Rgraph.out_edges.(v) in
-          let ready =
-            Array.for_all
-              (fun ei -> work.Rgraph.edges.(ei).Rgraph.weight > 0)
-              outs
-          in
-          if ready then begin
-            let popped =
-              Array.map (fun ei -> pop_tail work.Rgraph.edges.(ei)) outs
-            in
-            let value =
-              Array.fold_left
-                (fun acc v ->
-                  match acc with
-                  | None -> None
-                  | Some a -> Logic3.meet a v)
-                (Some Logic3.X) popped
-            in
-            let value =
-              match value with
-              | Some v -> v
-              | None ->
-                tainted := true;
-                Logic3.X
-            in
-            let arity = Array.length work.Rgraph.in_edges.(v) in
-            let pre =
-              match Logic3.preimage kind arity value with
-              | Some ins -> ins
-              | None ->
-                tainted := true;
-                Array.make arity Logic3.X
-            in
-            Array.iteri
-              (fun pin ei -> push_head work.Rgraph.edges.(ei) pre.(pin))
-              work.Rgraph.in_edges.(v);
-            rem.(v) <- rem.(v) - 1;
-            progress := true
-          end
-        end
-    done
+  let queue = Array.make (n + 1) 0 and queued = Array.make n false in
+  let qhead = ref 0 and qtail = ref 0 in
+  let push v =
+    if rem.(v) <> 0 && not queued.(v) then begin
+      queued.(v) <- true;
+      queue.(!qtail) <- v;
+      qtail := if !qtail = n then 0 else !qtail + 1
+    end
+  in
+  for v = 0 to n - 1 do
+    if gate_kind work v <> None then push v
   done;
-  if remaining () || !tainted then begin
+  let loaded ei = edges.(ei).Rgraph.weight > 0 in
+  let conflict = ref false in
+  while (not !conflict) && !qhead <> !qtail do
+    let v = queue.(!qhead) in
+    qhead := if !qhead = n then 0 else !qhead + 1;
+    queued.(v) <- false;
+    match gate_kind work v with
+    | None -> ()
+    | Some kind ->
+      if rem.(v) < 0 && Array.for_all loaded work.Rgraph.in_edges.(v) then begin
+        (* forward move: the value is computed through the gate *)
+        let pins = Array.map (fun ei -> pop_head edges.(ei)) work.Rgraph.in_edges.(v) in
+        let value = Logic3.eval kind pins in
+        let outs = work.Rgraph.out_edges.(v) in
+        Array.iter (fun ei -> push_tail edges.(ei) value) outs;
+        rem.(v) <- rem.(v) + 1;
+        push v;
+        Array.iter (fun ei -> push edges.(ei).Rgraph.head) outs
+      end
+      else if rem.(v) > 0 && Array.for_all loaded work.Rgraph.out_edges.(v) then begin
+        (* backward move: justify the register from the outputs back to
+           the inputs *)
+        let value =
+          Array.fold_left
+            (fun acc ei ->
+              let x = pop_tail edges.(ei) in
+              match acc with
+              | None -> None
+              | Some a -> Logic3.meet a x)
+            (Some Logic3.X) work.Rgraph.out_edges.(v)
+        in
+        let ins = work.Rgraph.in_edges.(v) in
+        match value with
+        | None -> conflict := true
+        | Some value ->
+          (match Logic3.preimage kind (Array.length ins) value with
+           | None -> conflict := true
+           | Some pre ->
+             Array.iteri (fun pin ei -> push_head edges.(ei) pre.(pin)) ins;
+             rem.(v) <- rem.(v) - 1;
+             push v;
+             Array.iter (fun ei -> push edges.(ei).Rgraph.tail) ins)
+      end
+  done;
+  if !conflict || Array.exists (fun r -> r <> 0) rem then begin
     (* Constructive ordering failed or a justification conflict was
        detected; fall back to the weight formula.
        Every edge incident to a lagged vertex has its register contents
        time-shifted — even at unchanged weight — so only edges between
        two lag-0 vertices keep their initial values; the rest become X
-       (supplied by the scan chain in hardware). *)
-    let fresh = Rgraph.copy g in
+       (supplied by the scan chain in hardware). Moves only touch edges
+       at lagged vertices, so [work] still holds the others as given. *)
     Array.iteri
       (fun i (e : Rgraph.edge) ->
         if rho.(e.Rgraph.tail) <> 0 || rho.(e.Rgraph.head) <> 0 then begin
@@ -564,8 +630,8 @@ let apply g rho =
           e.Rgraph.weight <- w;
           e.Rgraph.inits <- List.init w (fun _ -> Logic3.X)
         end)
-      fresh.Rgraph.edges;
-    fresh
+      edges;
+    work
   end
   else work
 

@@ -65,13 +65,29 @@ module Solver : sig
       solve instead of re-solving once per cycle. The list is non-empty
       and deterministic. *)
 
+  val release : t -> int -> unit
+  (** [release t v] lowers by one the requirement of every edge leaving
+      vertex [v], rewriting only those edges' arcs (one longer each).
+      Raises [Invalid_argument] if such an edge has no requirement left.
+      Use it between an aborted run and {!resume}. *)
+
+  val resume : t -> (int array, int list list) result
+  (** Continue the last run, which must have aborted on an
+      over-constrained cycle, from the labels it left, under the
+      requirements {!release} has lowered since. It starts exactly where
+      [run_cycles ~warm:(potentials t)] would, with the same queue in the
+      same order, and so returns what that would, but builds the queue
+      from the aborted run's queue and the vertices its cutoff left
+      unsettled instead of re-evaluating every arc: releasing a
+      requirement only lengthens arcs, so no other vertex can have a
+      violated one. Raises [Invalid_argument] after a converged run. *)
+
   val potentials : t -> int array
   (** Snapshot of the label state left by the last run — the feasible
       potential after a converged run, or the partial labels of an
-      aborted one. Feeding it back as [~warm] resumes the relaxation on
-      updated requirements, which is how the requirement-drop loop
-      avoids one full cold solve per round (the result-defining final
-      solve still runs cold). *)
+      aborted one. Feeding it back as [~warm] restarts the relaxation
+      on updated requirements; {!resume} continues in place from the
+      same labels and is checked against that restart. *)
 end
 
 val retimed_weight : Rgraph.t -> int array -> int -> int
@@ -84,10 +100,13 @@ val apply : Rgraph.t -> int array -> Rgraph.t
 (** Rebuild the graph with retimed weights, moving register initial
     values along by elementary retiming steps: a forward move across a
     gate computes the new value with {!Logic3.eval}; a backward move
-    justifies it with {!Logic3.preimage} and degrades to X when fanout
-    values disagree. Moves that cannot be ordered constructively fall
-    back to X initial values (in hardware the scan chain supplies
-    those). Raises [Invalid_argument] when [rho] is not legal. *)
+    justifies it with {!Logic3.preimage}. The moves run from a worklist
+    (the result does not depend on their order). When fanout values
+    disagree, or a value has no preimage, the pass stops, and when the
+    moves cannot all be made, it runs out: either way every edge at a
+    lagged vertex gets X initial values (in hardware the scan chain
+    supplies those). Raises [Invalid_argument] when [rho] is not
+    legal. *)
 
 val total_registers_after : Rgraph.t -> int array -> int
 (** Per-pin register count after retiming (cheap, does not apply). *)

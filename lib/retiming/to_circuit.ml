@@ -43,103 +43,104 @@ let absorb chain inits =
   (* guarded by compatible_prefix: overlapping positions already equal *)
   List.iteri (fun i v -> if i >= len then chain.values.(i) <- v) inits
 
-let reg_name chain j = Printf.sprintf "%s__r%d_%d" chain.base chain.id j
+let reg_name chain j =
+  chain.base ^ "__r" ^ string_of_int chain.id ^ "_" ^ string_of_int j
 
+(* The layout is fixed, so every id is known before a node is built:
+   the vertices in order (the host has no node), then the register
+   chains by (tail vertex, chain id), each from its driver outward. *)
 let circuit_of ?(title = "retimed") (g : Rgraph.t) =
+  Ppet_obs.Obs.span "to_circuit.emit" @@ fun () ->
   (match Rgraph.check_invariants g with
    | Ok () -> ()
    | Error msg -> invalid_arg ("To_circuit.circuit_of: " ^ msg));
   let nv = Rgraph.n_vertices g in
-  (* build shared chains per tail vertex *)
-  let chains_of_tail : (int, chain list ref) Hashtbl.t = Hashtbl.create 64 in
-  let chain_counter = ref 0 in
+  let host = g.Rgraph.host in
+  let node_of_vertex v = if v > host then v - 1 else v in
+  (* shared chains per tail vertex, newest first *)
+  let chains_of_tail = Array.make nv [] in
+  let n_chains = ref 0 in
   let edge_chain = Array.make (Array.length g.Rgraph.edges) None in
   Array.iteri
     (fun ei (e : Rgraph.edge) ->
       if e.Rgraph.weight > 0 then begin
-        let lst =
-          match Hashtbl.find_opt chains_of_tail e.Rgraph.tail with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace chains_of_tail e.Rgraph.tail l;
-            l
-        in
+        let tail = e.Rgraph.tail in
         let chain =
-          match List.find_opt (fun ch -> compatible_prefix ch e.Rgraph.inits) !lst with
+          match
+            List.find_opt
+              (fun ch -> compatible_prefix ch e.Rgraph.inits)
+              chains_of_tail.(tail)
+          with
           | Some ch -> ch
           | None ->
-            incr chain_counter;
+            incr n_chains;
             let ch =
-              {
-                values = [||];
-                base = Rgraph.vertex_name g e.Rgraph.tail;
-                id = !chain_counter;
-              }
+              { values = [||]; base = Rgraph.vertex_name g tail; id = !n_chains }
             in
-            lst := ch :: !lst;
+            chains_of_tail.(tail) <- ch :: chains_of_tail.(tail);
             ch
         in
         absorb chain e.Rgraph.inits;
         edge_chain.(ei) <- Some chain
       end)
     g.Rgraph.edges;
-  (* signal name an edge's head pin reads *)
-  let pin_signal ei =
-    let e = g.Rgraph.edges.(ei) in
+  (* first register id of every chain, in emission order *)
+  let first_reg = Array.make (!n_chains + 1) 0 in
+  let next = ref (nv - 1) in
+  Array.iter
+    (fun lst ->
+      List.iter
+        (fun ch ->
+          first_reg.(ch.id) <- !next;
+          next := !next + Array.length ch.values)
+        (List.rev lst))
+    chains_of_tail;
+  let n = !next in
+  (* node id an edge's head pin reads *)
+  let pin_node ei =
     match edge_chain.(ei) with
-    | None -> Rgraph.vertex_name g e.Rgraph.tail
-    | Some chain -> reg_name chain e.Rgraph.weight
+    | None -> node_of_vertex g.Rgraph.edges.(ei).Rgraph.tail
+    | Some chain -> first_reg.(chain.id) + g.Rgraph.edges.(ei).Rgraph.weight - 1
   in
-  let b = Circuit.Builder.create title in
-  let register_inits = ref [] in
-  (* vertices *)
+  let placeholder = { Circuit.id = 0; name = ""; kind = Gate.Input; fanins = [||] } in
+  let nodes = Array.make n placeholder in
   for v = 0 to nv - 1 do
+    let id = node_of_vertex v in
     match g.Rgraph.kinds.(v) with
     | Rgraph.Vhost -> ()
-    | Rgraph.Vpi name -> Circuit.Builder.add_input b name
+    | Rgraph.Vpi name ->
+      nodes.(id) <- { Circuit.id; name; kind = Gate.Input; fanins = [||] }
     | Rgraph.Vgate (kind, name) ->
-      let fanins =
-        Array.to_list (Array.map pin_signal g.Rgraph.in_edges.(v))
-      in
-      Circuit.Builder.add_gate b ~name ~kind ~fanins
+      nodes.(id) <-
+        { Circuit.id; name; kind; fanins = Array.map pin_node g.Rgraph.in_edges.(v) }
   done;
-  (* register chains, in canonical (tail vertex, chain id) order: hash
-     iteration order must not leak into the emitted netlist, or two
-     identical compiles stop being byte-identical *)
-  let tails =
-    List.sort
-      (fun (a, _) (b, _) -> compare a b)
-      (Hashtbl.fold (fun tail lst acc -> (tail, lst) :: acc) chains_of_tail [])
-  in
-  List.iter
-    (fun (tail, lst) ->
-      let driver = Rgraph.vertex_name g tail in
+  let register_inits = ref [] in
+  Array.iteri
+    (fun tail lst ->
       List.iter
         (fun chain ->
+          let base = first_reg.(chain.id) in
           Array.iteri
             (fun j v ->
               let name = reg_name chain (j + 1) in
-              let fanin = if j = 0 then driver else reg_name chain j in
-              Circuit.Builder.add_gate b ~name ~kind:Gate.Dff
-                ~fanins:[ fanin ];
+              let fanin = if j = 0 then node_of_vertex tail else base + j - 1 in
+              nodes.(base + j) <-
+                { Circuit.id = base + j; name; kind = Gate.Dff; fanins = [| fanin |] };
               register_inits := (name, v) :: !register_inits)
             chain.values)
-        (List.sort (fun c1 c2 -> compare c1.id c2.id) !lst))
-    tails;
-  (* primary outputs: the host's in-edges *)
-  Array.iter
-    (fun ei -> Circuit.Builder.add_output b (pin_signal ei))
-    g.Rgraph.in_edges.(g.Rgraph.host);
-  let circuit = Circuit.Builder.finish b in
+        (List.rev lst))
+    chains_of_tail;
+  let outputs = Array.map pin_node g.Rgraph.in_edges.(host) in
+  let circuit = Circuit.of_nodes ~title nodes ~outputs in
   { circuit; register_inits = !register_inits }
 
 let init_fn emitted =
   let tbl = Hashtbl.create 64 in
+  let find = Circuit.name_index emitted.circuit in
   List.iter
     (fun (name, v) ->
-      match Circuit.find emitted.circuit name with
-      | id -> Hashtbl.replace tbl id v
-      | exception Not_found -> ())
+      match find name with
+      | Some id -> Hashtbl.replace tbl id v
+      | None -> ())
     emitted.register_inits;
   fun id -> match Hashtbl.find_opt tbl id with Some v -> v | None -> Logic3.X

@@ -4,7 +4,8 @@
     shared by several readers appears on several edges; emission undoes
     the duplication where the initial values allow: out-edges of the same
     driver share one register chain when their init lists agree
-    prefix-wise (X merging with anything), so a round trip
+    prefix-wise (an X agrees with nothing, not even another X: it is an
+    unknown but specific value), so a round trip
     [of_circuit |> circuit_of] restores the original register count for
     untouched graphs.
 

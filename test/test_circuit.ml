@@ -115,6 +115,80 @@ let test_find_missing () =
   let c = build_small () in
   Alcotest.check_raises "missing" Not_found (fun () -> ignore (Circuit.find c "zz"))
 
+(* ------------------------------------------------------------------ *)
+(* The by-id constructor: one test per input it rejects, each with its
+   message, and agreement with the Builder on a well-formed netlist. *)
+
+let nd id name kind fanins = { Circuit.id; name; kind; fanins }
+
+let rejects msg nodes outputs =
+  Alcotest.check_raises msg (Circuit.Error msg) (fun () ->
+      ignore (Circuit.of_nodes ~title:"t" nodes ~outputs))
+
+let test_of_nodes_empty () = rejects "empty circuit \"t\"" [||] [||]
+
+let test_of_nodes_position () =
+  rejects "signal \"b\": id 0 at position 1"
+    [| nd 0 "a" Gate.Input [||]; nd 0 "b" Gate.Input [||] |]
+    [||]
+
+let test_of_nodes_duplicate () =
+  rejects "duplicate definition of signal \"a\""
+    [| nd 0 "a" Gate.Input [||]; nd 1 "a" Gate.Not [| 0 |] |]
+    [||]
+
+let test_of_nodes_undefined () =
+  rejects "gate \"g\" references undefined signal #5"
+    [| nd 0 "a" Gate.Input [||]; nd 1 "g" Gate.Not [| 5 |] |]
+    [||]
+
+let test_of_nodes_arity () =
+  rejects "gate \"g\": AND cannot take 1 inputs"
+    [| nd 0 "a" Gate.Input [||]; nd 1 "g" Gate.And [| 0 |] |]
+    [||]
+
+let test_of_nodes_input_fanin () =
+  rejects "gate \"b\": INPUT cannot take 1 inputs"
+    [| nd 0 "a" Gate.Input [||]; nd 1 "b" Gate.Input [| 0 |] |]
+    [||]
+
+let test_of_nodes_no_sources () =
+  rejects "circuit \"t\" has neither primary inputs nor flip-flops"
+    [| nd 0 "g" Gate.And [| 1; 1 |]; nd 1 "g2" Gate.Not [| 0 |] |]
+    [||]
+
+let test_of_nodes_output () =
+  rejects "primary output list references undefined signal #-1"
+    [| nd 0 "a" Gate.Input [||]; nd 1 "g" Gate.Not [| 0 |] |]
+    [| 1; -1 |]
+
+let test_of_nodes_cycle () =
+  rejects "combinational cycle through signal \"g1\""
+    [| nd 0 "a" Gate.Input [||]; nd 1 "g1" Gate.And [| 0; 2 |];
+       nd 2 "g2" Gate.Not [| 1 |] |]
+    [||]
+
+let test_of_nodes_matches_builder () =
+  let c = S27.circuit () in
+  let c' =
+    Circuit.of_nodes ~title:c.Circuit.title c.Circuit.nodes ~outputs:c.Circuit.outputs
+  in
+  Alcotest.(check bool) "same circuit, field for field" true (c = c')
+
+(* The name index agrees with the scan on every signal, and on a name
+   no signal has. *)
+let test_name_index () =
+  List.iter
+    (fun c ->
+      let find = Circuit.name_index c in
+      Array.iter
+        (fun (n : Circuit.node) ->
+          Alcotest.(check (option int)) n.Circuit.name
+            (Some (Circuit.find c n.Circuit.name)) (find n.Circuit.name))
+        c.Circuit.nodes;
+      Alcotest.(check (option int)) "missing" None (find "no such signal"))
+    [ S27.circuit (); Ppet_netlist.Benchmarks.circuit "s641" ]
+
 let suite =
   [
     Alcotest.test_case "builder basics" `Quick test_build_basics;
@@ -131,4 +205,17 @@ let suite =
     Alcotest.test_case "s27 estimated area" `Quick test_s27_area;
     Alcotest.test_case "levelization" `Quick test_levels;
     Alcotest.test_case "find raises Not_found" `Quick test_find_missing;
+    Alcotest.test_case "of_nodes rejects no nodes" `Quick test_of_nodes_empty;
+    Alcotest.test_case "of_nodes rejects a misplaced id" `Quick test_of_nodes_position;
+    Alcotest.test_case "of_nodes rejects a duplicate name" `Quick test_of_nodes_duplicate;
+    Alcotest.test_case "of_nodes rejects an undefined fanin" `Quick test_of_nodes_undefined;
+    Alcotest.test_case "of_nodes rejects an illegal arity" `Quick test_of_nodes_arity;
+    Alcotest.test_case "of_nodes rejects an input with fanins" `Quick
+      test_of_nodes_input_fanin;
+    Alcotest.test_case "of_nodes rejects a sourceless circuit" `Quick
+      test_of_nodes_no_sources;
+    Alcotest.test_case "of_nodes rejects an undefined output" `Quick test_of_nodes_output;
+    Alcotest.test_case "of_nodes rejects a combinational cycle" `Quick test_of_nodes_cycle;
+    Alcotest.test_case "of_nodes rebuilds s27 exactly" `Quick test_of_nodes_matches_builder;
+    Alcotest.test_case "name index = find (s27, s641)" `Quick test_name_index;
   ]
