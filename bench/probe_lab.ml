@@ -1,6 +1,9 @@
-(* Scratch harness for the campaign probe: times the fault kernel on
-   the largest Merced cluster of a benchmark profile across word
-   widths. Not part of any alias. *)
+(* Word-width sweep: times the fault kernel at words 1, 2, 4, .., 32
+   and 62 on the largest Merced cluster of a benchmark profile (default
+   synth10k), where interior gates are unobserved and a fault must
+   propagate to a boundary before it detects. 64 random pattern words,
+   dropping off, median of 11 per width. Run it with
+   `dune exec bench/probe_lab.exe [CIRCUIT]`; not part of any alias. *)
 
 module Circuit = Ppet_netlist.Circuit
 module Segment = Ppet_netlist.Segment

@@ -598,16 +598,10 @@ let fuzz_cmd =
    findings (exit 1), not a crash; everything else (s27, benchmark
    names, .v files) is loaded strictly and linted in memory *)
 let lint_one ?pool ~rules ~params spec =
-  if
-    spec <> "s27"
-    && Sys.file_exists spec
-    && not (Filename.check_suffix spec ".v")
-  then
-    let src = In_channel.with_open_text spec In_channel.input_all in
-    Lint_engine.run_text ?pool ~rules ~params
-      ~title:Filename.(remove_extension (basename spec))
-      ~file:spec src
-  else Lint_engine.run_circuit ?pool ~rules ~params (load_circuit spec)
+  match Serve_ops.read_bench_file spec with
+  | Some (text, title, file) ->
+    Lint_engine.run_text ?pool ~rules ~params ~title ~file text
+  | None -> Lint_engine.run_circuit ?pool ~rules ~params (load_circuit spec)
 
 let lint_list_rules () =
   List.iter
@@ -788,22 +782,7 @@ let bench_guard ~baseline entries =
 
 let bench_run benchmarks repeat jobs out against dry_run trace =
   wrap_status ?trace (fun () ->
-      List.iter
-        (fun name ->
-          if
-            name <> "s27"
-            && (not (List.mem name Benchmarks.names))
-            && not (List.mem name Benchmarks.synthetic_names)
-          then
-            raise
-              (Circuit.Error
-                 (Printf.sprintf
-                    "--benchmarks: %S is neither \"s27\", a known benchmark \
-                     (%s), nor a synthetic profile (%s)"
-                    name
-                    (String.concat ", " Benchmarks.names)
-                    (String.concat ", " Benchmarks.synthetic_names))))
-        benchmarks;
+      Benchmarks.validate_names ~flag:"--benchmarks" benchmarks;
       if repeat < 1 then raise (Circuit.Error "--repeat must be >= 1");
       validate_jobs jobs;
       let baseline =
@@ -913,21 +892,16 @@ let bench_cmd =
 (* ------------------------------------------------------------------ *)
 (* campaign                                                            *)
 
-let campaign_run profiles lk beta seed words no_drop max_width min_coverage
-    no_prune out probe probe_repeat jobs trace =
+let campaign_run profiles lk beta seed max_width min_coverage out jobs trace =
   wrap_status ?trace (fun () ->
       let params = params_of lk beta seed in
       let plan =
         {
+          Campaign.default_plan with
           Campaign.profiles;
           params;
-          words;
-          drop = not no_drop;
           max_width;
           min_coverage;
-          prune = not no_prune;
-          probe;
-          probe_repeat;
         }
       in
       with_jobs jobs (fun pool ->
@@ -948,12 +922,12 @@ let campaign_run profiles lk beta seed words no_drop max_width min_coverage
 let campaign_cmd =
   let doc =
     "Run a whole-chip self-test campaign: compile every requested \
-     profile, pseudo-exhaustively fault-simulate each partition through \
-     the word-parallel batch engine (with fault dropping), and report \
-     per-circuit coverage, aliasing and pipelined test time — \
-     optionally as a regression-tracked BENCH_campaign.json. Circuits \
-     run concurrently across --jobs domains; results are identical at \
-     any job count."
+     profile, prune each partition's statically untestable faults, \
+     pseudo-exhaustively fault-simulate the rest through the \
+     word-parallel batch engine (with fault dropping), and report \
+     per-circuit coverage, aliasing and pipelined test time, also as \
+     a JSON report (BENCH_campaign.json). Circuits run concurrently \
+     across --jobs domains; results are identical at any job count."
   in
   let profiles =
     Arg.(value
@@ -962,18 +936,6 @@ let campaign_cmd =
              ~doc:"Comma-separated circuits to campaign over: \"s27\", \
                    registry benchmark names, or synthetic profiles \
                    (default: all seventeen paper benchmarks).")
-  in
-  let words =
-    Arg.(value & opt int Campaign.default_plan.Campaign.words
-         & info [ "words" ] ~docv:"W"
-             ~doc:"Machine words of patterns per gate evaluation in the \
-                   batch engine.")
-  in
-  let no_drop =
-    Arg.(value & flag & info [ "no-drop" ]
-           ~doc:"Keep simulating detected faults instead of retiring \
-                 them (reference semantics; verdicts are identical \
-                 either way).")
   in
   let max_width =
     Arg.(value & opt int Campaign.default_plan.Campaign.max_width
@@ -987,13 +949,6 @@ let campaign_cmd =
                    coverage lands below this fraction; 0 disables the \
                    gate.")
   in
-  let no_prune =
-    Arg.(value & flag & info [ "no-prune" ]
-           ~doc:"Simulate statically-untestable faults too instead of \
-                 pruning them before simulation (coverage then uses the \
-                 raw denominator; detected sets are identical either \
-                 way).")
-  in
   let out =
     Arg.(value & opt (some string) (Some "BENCH_campaign.json")
          & info [ "o"; "out" ] ~docv:"FILE"
@@ -1004,25 +959,12 @@ let campaign_cmd =
     Arg.(value & flag & info [ "no-out" ]
            ~doc:"Do not write the JSON report file.")
   in
-  let probe =
-    Arg.(value & opt (some string) None
-         & info [ "probe" ] ~docv:"CIRCUIT"
-             ~doc:"Also measure per-fault-pattern throughput at one \
-                   word per gate visit against --words on this circuit \
-                   and record the ratio in the report.")
-  in
-  let probe_repeat =
-    Arg.(value & opt int Campaign.default_plan.Campaign.probe_repeat
-         & info [ "repeat" ] ~docv:"N"
-             ~doc:"Timed samples per probe measurement (median of).")
-  in
   let out_term =
     Term.(const (fun out no_out -> if no_out then None else out) $ out $ no_out)
   in
   Cmd.v (Cmd.info "campaign" ~doc ~exits)
     Term.(const campaign_run $ profiles $ lk_arg $ beta_arg $ seed_arg
-          $ words $ no_drop $ max_width $ min_coverage $ no_prune $ out_term
-          $ probe $ probe_repeat $ jobs_arg $ trace_arg)
+          $ max_width $ min_coverage $ out_term $ jobs_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1044,11 +986,12 @@ let serve_run socket jobs queue_limit timeout_ms quiet trace =
 
 let serve_cmd =
   let doc =
-    "Run the merced compile daemon: accept compile/lint/selftest/bench \
-     jobs as newline-delimited JSON over a Unix socket, schedule them \
-     across a domain pool, stream per-stage progress, and answer repeat \
-     submissions from a content-addressed result cache. Runs until a \
-     shutdown request, then drains the queue and exits."
+    "Run the merced compile daemon: accept \
+     compile/lint/selftest/analyze/campaign jobs as newline-delimited \
+     JSON over a Unix socket, schedule them across a domain pool, stream \
+     per-stage progress, and answer repeat submissions from a \
+     content-addressed result cache. Runs until a shutdown request, then \
+     drains the queue and exits."
   in
   let jobs =
     Arg.(value & opt int 2 & info [ "j"; "jobs" ] ~docv:"N"
@@ -1082,20 +1025,17 @@ let serve_cmd =
    the one-shot CLI on the same path. Everything else — "s27", registry
    names, .v paths — goes as a spec for the server to resolve. *)
 let source_fields circuit =
-  if
-    circuit <> "s27"
-    && Sys.file_exists circuit
-    && not (Filename.check_suffix circuit ".v")
-  then
+  match Serve_ops.read_bench_file circuit with
+  | Some (text, title, file) ->
     [
-      ("bench", Sjson.Str (In_channel.with_open_text circuit In_channel.input_all));
-      ("title", Sjson.Str Filename.(remove_extension (basename circuit)));
-      ("file", Sjson.Str circuit);
+      ("bench", Sjson.Str text);
+      ("title", Sjson.Str title);
+      ("file", Sjson.Str file);
     ]
-  else [ ("circuit", Sjson.Str circuit) ]
+  | None -> [ ("circuit", Sjson.Str circuit) ]
 
 let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
-    ~verbose ~rules ~max_width ~benchmarks ~repeat ~ms ~timeout_ms ~progress =
+    ~verbose ~rules ~max_width ~benchmarks ~ms ~timeout_ms ~progress =
   if stats then Sjson.Obj [ ("op", Sjson.Str "stats") ]
   else if shutdown then Sjson.Obj [ ("op", Sjson.Str "shutdown") ]
   else
@@ -1147,17 +1087,8 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
           (("op", Sjson.Str "selftest") :: need_circuit ())
           @ [ ("max_width", Sjson.Num (float_of_int max_width)) ]
         | `Analyze -> ("op", Sjson.Str "analyze") :: need_circuit ()
-        | `Bench ->
-          [
-            ("op", Sjson.Str "bench");
-            ( "benchmarks",
-              Sjson.List (List.map (fun s -> Sjson.Str s) benchmarks) );
-            ("repeat", Sjson.Num (float_of_int repeat));
-          ]
         | `Campaign ->
-          (* --benchmarks doubles as the profile list; words and the
-             dropping policy ride the daemon defaults unless the suite
-             manifest overrides them *)
+          (* --benchmarks names the profiles *)
           [
             ("op", Sjson.Str "campaign");
             ( "profiles",
@@ -1170,13 +1101,11 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
       Sjson.Obj (op_fields @ common)
 
 let submit_run socket op circuit suite stats shutdown lk beta seed verbose
-    rules max_width benchmarks repeat ms timeout_ms progress meta retry_for
-    trace =
+    rules max_width benchmarks ms timeout_ms progress meta retry_for trace =
   wrap_status ?trace (fun () ->
       let req =
         submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
-          ~verbose ~rules ~max_width ~benchmarks ~repeat ~ms ~timeout_ms
-          ~progress
+          ~verbose ~rules ~max_width ~benchmarks ~ms ~timeout_ms ~progress
       in
       let on_progress ~stage phase =
         Printf.eprintf "progress: %s %s\n%!" stage
@@ -1236,14 +1165,13 @@ let submit_cmd =
              (enum
                 [ ("compile", `Compile); ("lint", `Lint);
                   ("selftest", `Selftest); ("analyze", `Analyze);
-                  ("bench", `Bench); ("campaign", `Campaign);
-                  ("sleep", `Sleep) ])
+                  ("campaign", `Campaign); ("sleep", `Sleep) ])
              `Compile
          & info [ "op" ] ~docv:"OP"
              ~doc:"Job kind: $(b,compile) (= partition), $(b,lint), \
-                   $(b,selftest), $(b,analyze), $(b,bench), \
-                   $(b,campaign) (--benchmarks names the profiles), or \
-                   $(b,sleep) (diagnostic).")
+                   $(b,selftest), $(b,analyze), $(b,campaign) \
+                   (--benchmarks names the profiles), or $(b,sleep) \
+                   (diagnostic).")
   in
   let circuit =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"CIRCUIT"
@@ -1279,11 +1207,8 @@ let submit_cmd =
   let benchmarks =
     Arg.(value
          & opt (list string) Bench_runner.default_plan.Bench_runner.benchmarks
-         & info [ "benchmarks" ] ~docv:"NAMES" ~doc:"bench: circuits to sweep.")
-  in
-  let repeat =
-    Arg.(value & opt int Bench_runner.default_plan.Bench_runner.repeat
-         & info [ "repeat" ] ~docv:"N" ~doc:"bench: timed samples per phase.")
+         & info [ "benchmarks" ] ~docv:"NAMES"
+             ~doc:"campaign: the profiles to campaign over.")
   in
   let ms =
     Arg.(value & opt int 100 & info [ "ms" ] ~docv:"MS"
@@ -1310,7 +1235,7 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc ~exits)
     Term.(const submit_run $ socket_arg $ op $ circuit $ suite $ stats
           $ shutdown $ lk_arg $ beta_arg $ seed_arg $ verbose $ rules
-          $ max_width $ benchmarks $ repeat $ ms $ timeout_ms $ progress
+          $ max_width $ benchmarks $ ms $ timeout_ms $ progress
           $ meta $ retry_for $ trace_arg)
 
 (* ------------------------------------------------------------------ *)

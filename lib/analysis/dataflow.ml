@@ -1,4 +1,5 @@
 module Csr = Ppet_digraph.Csr
+module Tarjan = Ppet_digraph.Tarjan
 module Domain_pool = Ppet_parallel.Domain_pool
 
 type direction = Forward | Backward
@@ -17,74 +18,6 @@ type t = {
   mutable scratch : Csr.workspace option;  (* serial-path reuse *)
 }
 
-(* Iterative Tarjan over the CSR successor rows. Component ids come out
-   in reverse topological order: an edge between distinct components
-   goes from the higher id to the lower. *)
-let tarjan (csr : Csr.t) =
-  let n = csr.Csr.n in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = Array.make (max n 1) 0 in
-  let sp = ref 0 in
-  let comp = Array.make n (-1) in
-  let n_comps = ref 0 in
-  let next = ref 0 in
-  let frame_v = Array.make (max n 1) 0 in
-  let frame_i = Array.make (max n 1) 0 in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      let fp = ref 0 in
-      frame_v.(0) <- root;
-      frame_i.(0) <- csr.Csr.succ_off.(root);
-      index.(root) <- !next;
-      low.(root) <- !next;
-      incr next;
-      stack.(!sp) <- root;
-      incr sp;
-      on_stack.(root) <- true;
-      while !fp >= 0 do
-        let v = frame_v.(!fp) in
-        let i = frame_i.(!fp) in
-        if i < csr.Csr.succ_off.(v + 1) then begin
-          frame_i.(!fp) <- i + 1;
-          let w = csr.Csr.succ.(i) in
-          if index.(w) < 0 then begin
-            index.(w) <- !next;
-            low.(w) <- !next;
-            incr next;
-            stack.(!sp) <- w;
-            incr sp;
-            on_stack.(w) <- true;
-            incr fp;
-            frame_v.(!fp) <- w;
-            frame_i.(!fp) <- csr.Csr.succ_off.(w)
-          end
-          else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w)
-        end
-        else begin
-          if low.(v) = index.(v) then begin
-            let continue = ref true in
-            while !continue do
-              decr sp;
-              let w = stack.(!sp) in
-              on_stack.(w) <- false;
-              comp.(w) <- !n_comps;
-              if w = v then continue := false
-            done;
-            incr n_comps
-          end;
-          decr fp;
-          if !fp >= 0 then begin
-            let p = frame_v.(!fp) in
-            if low.(v) < low.(p) then low.(p) <- low.(v)
-          end
-        end
-      done
-    end
-  done;
-  (comp, !n_comps)
-
 (* Group components of equal level into contiguous ranges: a counting
    sort of component ids by level, plus the level offset table. *)
 let level_ranges level n_comps n_levels =
@@ -102,23 +35,20 @@ let level_ranges level n_comps n_levels =
   (comps, off)
 
 let prepare (csr : Csr.t) =
-  let n = csr.Csr.n in
-  let comp, n_comps = tarjan csr in
-  (* group vertices by component *)
+  (* component ids in reverse topological order: an edge between
+     distinct components goes from the higher id to the lower *)
+  let scc = Tarjan.of_csr csr in
+  let comp = scc.Tarjan.component and n_comps = scc.Tarjan.count in
+  (* vertices grouped by component: Tarjan's member lists, flattened *)
+  let members = scc.Tarjan.members in
   let comp_off = Array.make (n_comps + 1) 0 in
-  Array.iter (fun c -> comp_off.(c + 1) <- comp_off.(c + 1) + 1) comp;
-  let max_comp = ref (if n = 0 then 0 else 1) in
-  for c = 0 to n_comps - 1 do
-    if comp_off.(c + 1) > !max_comp then max_comp := comp_off.(c + 1);
-    comp_off.(c + 1) <- comp_off.(c + 1) + comp_off.(c)
-  done;
-  let cursor = Array.copy comp_off in
-  let comp_vertex = Array.make (max n 1) 0 in
-  for v = 0 to n - 1 do
-    let c = comp.(v) in
-    comp_vertex.(cursor.(c)) <- v;
-    cursor.(c) <- cursor.(c) + 1
-  done;
+  Array.iteri
+    (fun c m -> comp_off.(c + 1) <- comp_off.(c) + Array.length m)
+    members;
+  let comp_vertex = Array.concat (Array.to_list members) in
+  let max_comp =
+    Array.fold_left (fun acc m -> max acc (Array.length m)) 0 members
+  in
   (* forward levels: process components in topological order (descending
      Tarjan ids), level = 1 + max over external predecessor components *)
   let flevel = Array.make (max n_comps 1) 0 in
@@ -162,7 +92,7 @@ let prepare (csr : Csr.t) =
     fwd_level_off;
     bwd_comps;
     bwd_level_off;
-    max_comp = !max_comp;
+    max_comp;
     scratch = None;
   }
 

@@ -134,10 +134,10 @@ let run ?(progress = fun _ -> ()) plan =
               ignore (Generator.generate profile))
         end
       in
-      let sb = Scc_budget.create c g in
       (* the stages on the flat snapshot, exactly as Merced.run drives
          them *)
       let csr = Ppet_digraph.Csr.of_netgraph g in
+      let sb = Scc_budget.create ~csr c g in
       let flow_entry =
         measure ~jobs:1 "flow" (fun () ->
             ignore (Flow.saturate csr params (Prng.create 1L)))

@@ -11,20 +11,14 @@ module Aliasing = Ppet_bist.Aliasing
 module Pipeline = Ppet_bist.Pipeline
 module Untestable = Ppet_analysis.Untestable
 module Domain_pool = Ppet_parallel.Domain_pool
-module Bench_stat = Ppet_obs.Bench_stat
 module Obs = Ppet_obs.Obs
-module Prng = Ppet_digraph.Prng
 
 type plan = {
   profiles : string list;
   params : Params.t;
   words : int;
-  drop : bool;
   max_width : int;
   min_coverage : float;
-  prune : bool;
-  probe : string option;
-  probe_repeat : int;
 }
 
 let default_plan =
@@ -32,13 +26,9 @@ let default_plan =
     profiles = Benchmarks.names;
     params = Params.default;
     words = 8;
-    drop = true;
     (* every segment Merced builds under the default input constraint *)
     max_width = Params.default.Params.l_k;
     min_coverage = 0.0;
-    prune = true;
-    probe = None;
-    probe_repeat = 11;
   }
 
 type circuit_report = {
@@ -60,43 +50,11 @@ type circuit_report = {
   wall_ns : float;
 }
 
-type probe_report = {
-  probe_circuit : string;
-  probe_gates : int;
-  probe_faults : int;
-  probe_batches : int;
-  probe_words : int;
-  single_ns : float;
-  multi_ns : float;
-  speedup : float;
-}
-
 type report = {
   words : int;
-  drop : bool;
   max_width : int;
-  prune : bool;
   circuits : circuit_report list;
-  probe : probe_report option;
 }
-
-let validate_profiles names =
-  List.iter
-    (fun name ->
-      if
-        name <> "s27"
-        && (not (List.mem name Benchmarks.names))
-        && not (List.mem name Benchmarks.synthetic_names)
-      then
-        raise
-          (Circuit.Error
-             (Printf.sprintf
-                "%S is neither \"s27\", a known benchmark (%s), nor a \
-                 synthetic profile (%s)"
-                name
-                (String.concat ", " Benchmarks.names)
-                (String.concat ", " Benchmarks.synthetic_names))))
-    names
 
 let validate plan =
   if plan.profiles = [] then
@@ -106,10 +64,7 @@ let validate plan =
   then invalid_arg "Campaign.run: max_width must be in 0..20";
   if plan.min_coverage < 0.0 || plan.min_coverage > 1.0 then
     invalid_arg "Campaign.run: min_coverage must be in 0..1";
-  if plan.probe_repeat < 1 then
-    invalid_arg "Campaign.run: probe_repeat must be >= 1";
-  validate_profiles plan.profiles;
-  Option.iter (fun p -> validate_profiles [ p ]) plan.probe
+  Benchmarks.validate_names plan.profiles
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
@@ -129,11 +84,8 @@ let run_circuit ?pool plan name =
   let r = Merced.run ~params:plan.params c in
   let sim = Simulator.create c in
   let segs = Merced.segments r in
-  let policy =
-    Batch.policy ~words:plan.words ?pool
-      ~drop:(if plan.drop then Batch.Drop else Batch.Keep) ()
-  in
-  let uctx = if plan.prune then Some (Untestable.ctx c) else None in
+  let policy = Batch.policy ~words:plan.words ?pool () in
+  let uctx = Untestable.ctx c in
   let tested = ref 0 and skipped = ref 0 in
   let n_faults = ref 0 and n_untestable = ref 0 and n_detected = ref 0 in
   let vectors = ref 0 and word_evals = ref 0 in
@@ -149,17 +101,14 @@ let run_circuit ?pool plan name =
            the simulator. Verdicts are per-fault (fault + patterns
            only), so the detected set over the surviving faults is
            bit-identical to the unpruned engine's. *)
-        let simulated =
-          match uctx with
-          | None -> faults
-          | Some uctx ->
-            let cls = Untestable.classify uctx seg faults in
-            n_untestable := !n_untestable + List.length cls.Untestable.untestable;
-            cls.Untestable.testable
-        in
+        let cls = Untestable.classify uctx seg faults in
+        n_untestable := !n_untestable + List.length cls.Untestable.untestable;
         n_faults := !n_faults + List.length faults;
         let engine = Fault_engine.create sim seg in
-        let o = Batch.run engine policy ~patterns:Batch.Exhaustive simulated in
+        let o =
+          Batch.run engine policy ~patterns:Batch.Exhaustive
+            cls.Untestable.testable
+        in
         n_detected := !n_detected + o.Batch.n_detected;
         vectors := !vectors + (1 lsl w);
         word_evals := !word_evals + o.Batch.word_evals;
@@ -191,64 +140,6 @@ let run_circuit ?pool plan name =
     vectors = !vectors;
     word_evals = !word_evals;
     wall_ns = now_ns () -. t0;
-  }
-
-let probe_batches = 64
-
-(* The throughput probe: a fixed fault-simulation workload timed once
-   at one pattern word per gate visit and once at [plan.words]. The
-   segment is
-   the largest Merced cluster of the probe circuit — the campaign's own
-   unit of work, and the regime that matters: interior gates are
-   unobserved, so a fault must propagate through the member cone to a
-   boundary output before it detects. Dropping is off so both runs do
-   exactly the same per-fault-pattern work and the wall-clock ratio is
-   the throughput ratio. *)
-let probe_workload params c sim =
-  let r = Merced.run ~params c in
-  let seg =
-    match Merced.segments r with
-    | [] -> invalid_arg "Campaign.run: probe circuit has no segments"
-    | s :: rest ->
-      List.fold_left
-        (fun best s ->
-          if Array.length s.Segment.members > Array.length best.Segment.members
-          then s
-          else best)
-        s rest
-  in
-  let faults = Fault.collapse c (Fault.of_segment c seg) in
-  let n_in = Array.length (Segment.input_signals seg) in
-  let rng = Prng.create 0xBE5CL in
-  let word () =
-    Int64.to_int (Int64.logand (Prng.next_int64 rng) (Int64.of_int max_int))
-  in
-  let patterns =
-    List.init probe_batches (fun _ -> Array.init n_in (fun _ -> word ()))
-  in
-  (Fault_engine.create sim seg, seg, Batch.Batches patterns, faults)
-
-let run_probe plan name =
-  let c = generate name in
-  let sim = Simulator.create c in
-  let engine, seg, patterns, faults = probe_workload plan.params c sim in
-  let time words =
-    let pol = Batch.policy ~words ~drop:Batch.Keep () in
-    (Bench_stat.measure ~repeat:plan.probe_repeat (fun () ->
-         ignore (Batch.run engine pol ~patterns faults)))
-      .Bench_stat.median_ns
-  in
-  let single_ns = time 1 in
-  let multi_ns = time plan.words in
-  {
-    probe_circuit = name;
-    probe_gates = Array.length seg.Segment.members;
-    probe_faults = List.length faults;
-    probe_batches;
-    probe_words = plan.words;
-    single_ns;
-    multi_ns;
-    speedup = (if multi_ns > 0.0 then single_ns /. multi_ns else 0.0);
   }
 
 let run ?pool plan =
@@ -284,15 +175,7 @@ let run ?pool plan =
          (function Some cr -> cr | None -> assert false)
          slots)
   in
-  let probe = Option.map (run_probe plan) plan.probe in
-  {
-    words = plan.words;
-    drop = plan.drop;
-    max_width = plan.max_width;
-    prune = plan.prune;
-    circuits;
-    probe;
-  }
+  { words = plan.words; max_width = plan.max_width; circuits }
 
 let below_min plan report =
   if plan.min_coverage <= 0.0 then []
@@ -300,13 +183,9 @@ let below_min plan report =
 
 let human report =
   let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "campaign: %d circuits, words %d, drop %s, max width %d, prune %s\n"
+  Printf.bprintf buf "campaign: %d circuits, words %d, max width %d\n"
     (List.length report.circuits)
-    report.words
-    (if report.drop then "on" else "off")
-    report.max_width
-    (if report.prune then "on" else "off");
+    report.words report.max_width;
   Printf.bprintf buf "%-12s %6s %5s %5s %7s %8s %7s %9s %9s %10s %12s\n"
     "circuit" "gates" "dffs" "segs" "tested" "faults" "pruned" "detected"
     "coverage" "aliasing" "test-cycles";
@@ -332,23 +211,15 @@ let human report =
     (if tx = 0 then 100.0 else 100.0 *. float_of_int td /. float_of_int tx)
     (if tf = 0 then 100.0 else 100.0 *. float_of_int td /. float_of_int tf)
     tt ts;
-  (match report.probe with
-   | None -> ()
-   | Some p ->
-     Printf.bprintf buf
-       "probe %s: %d gates, %d faults, %d batches: words %d vs 1 -> %.1fx \
-        per-fault-pattern throughput\n"
-       p.probe_circuit p.probe_gates p.probe_faults p.probe_batches
-       p.probe_words p.speedup);
   Buffer.contents buf
 
 let to_json ?(normalise = false) report =
   let buf = Buffer.create 2048 in
   let ns x = if normalise then 0.0 else x in
   Printf.bprintf buf
-    "{\n  \"name\": \"campaign\",\n  \"words\": %d,\n  \"drop\": %b,\n  \
-     \"max_width\": %d,\n  \"prune\": %b,\n  \"circuits\": ["
-    report.words report.drop report.max_width report.prune;
+    "{\n  \"name\": \"campaign\",\n  \"words\": %d,\n  \"max_width\": %d,\n  \
+     \"circuits\": ["
+    report.words report.max_width;
   let first = ref true in
   List.iter
     (fun cr ->
@@ -368,15 +239,5 @@ let to_json ?(normalise = false) report =
         cr.vectors cr.word_evals (ns cr.wall_ns);
       first := false)
     report.circuits;
-  Buffer.add_string buf "\n  ]";
-  (match report.probe with
-   | None -> ()
-   | Some p ->
-     Printf.bprintf buf
-       ",\n  \"probe\": { \"circuit\": \"%s\", \"gates\": %d, \"faults\": %d, \
-        \"batches\": %d, \"words\": %d, \"single_ns\": %.6g, \"multi_ns\": \
-        %.6g, \"speedup\": %.6g }"
-       p.probe_circuit p.probe_gates p.probe_faults p.probe_batches
-       p.probe_words (ns p.single_ns) (ns p.multi_ns) (ns p.speedup));
-  Buffer.add_string buf "\n}\n";
+  Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

@@ -1,7 +1,5 @@
 module Circuit = Ppet_netlist.Circuit
 module Simulator = Ppet_bist.Simulator
-module Rgraph = Ppet_retiming.Rgraph
-module Logic3 = Ppet_retiming.Logic3
 module Prng = Ppet_digraph.Prng
 
 type verdict = {
@@ -61,32 +59,3 @@ let check_bool ?(cycles = 32) ?(seed = 0xE9L) ?(force_right = []) left right =
     incr cycle
   done;
   { equivalent = !mismatch = None; cycles_run = !cycle; first_mismatch = !mismatch }
-
-let check_3valued ?(cycles = 16) ?(seed = 0xE9L) ?init_left ?init_right left
-    right =
-  if Array.length left.Circuit.outputs <> Array.length right.Circuit.outputs
-  then invalid_arg "Equivalence.check_3valued: output counts differ";
-  let rg_l = Rgraph.of_circuit ?init:init_left left in
-  let rg_r = Rgraph.of_circuit ?init:init_right right in
-  let rng = Prng.create seed in
-  let stim = Hashtbl.create 64 in
-  let inputs ~cycle name =
-    match Hashtbl.find_opt stim (cycle, name) with
-    | Some v -> v
-    | None ->
-      let v = if Prng.bool rng then Logic3.One else Logic3.Zero in
-      Hashtbl.replace stim (cycle, name) v;
-      v
-  in
-  let a = Rgraph.simulate rg_l ~inputs ~cycles in
-  let b = Rgraph.simulate rg_r ~inputs ~cycles in
-  let mismatch = ref None in
-  for t = 0 to cycles - 1 do
-    List.iteri
-      (fun k (name, v0) ->
-        let _, v1 = List.nth b.(t) k in
-        if !mismatch = None && not (Logic3.compatible v0 v1) then
-          mismatch := Some (t, name))
-      a.(t)
-  done;
-  { equivalent = !mismatch = None; cycles_run = cycles; first_mismatch = !mismatch }

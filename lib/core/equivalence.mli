@@ -1,20 +1,16 @@
-(** Bounded sequential equivalence checking between two circuits.
+(** Bounded boolean equivalence checking between two circuits.
 
-    Used to validate every transformation in this library: retiming
-    (ref [16]'s functional-equivalence claim), netlist emission, and
-    test-hardware insertion in normal mode. Two flavours:
+    {!check_bool} co-simulates both circuits word-parallel from the
+    all-zero reset state on random input streams — 62 independent random
+    streams per cycle of work, strongest for transformations that
+    preserve reset behaviour exactly, such as test-hardware insertion in
+    normal mode. Retiming leaves some moved registers legitimately
+    unknown until scanned; its 3-valued check is
+    {!Ppet_check.Seq_check.check}.
 
-    - {!check_bool}: word-parallel boolean co-simulation from the all-zero
-      reset state on random input streams — 62 independent random streams
-      per cycle of work, strongest for transformations that preserve reset
-      behaviour exactly;
-    - {!check_3valued}: 3-valued co-simulation honouring unknown initial
-      values (X compatible with anything) — needed after retiming, where
-      some moved registers are legitimately unknown until scanned.
-
-    Both are bounded (they prove nothing beyond the simulated horizon)
-    but all transformations here shift no I/O latency, so a mismatch
-    shows up within a few cycles of the divergence point. *)
+    The check is bounded (it proves nothing beyond the simulated
+    horizon), but the transformations here shift no I/O latency, so a
+    mismatch shows up within a few cycles of the divergence point. *)
 
 type verdict = {
   equivalent : bool;
@@ -36,15 +32,3 @@ val check_bool :
     [force_right] (default 0/false). Outputs are compared positionally
     (both circuits must declare the same number of primary outputs, else
     [Invalid_argument]). Default 32 cycles. *)
-
-val check_3valued :
-  ?cycles:int ->
-  ?seed:int64 ->
-  ?init_left:(int -> Ppet_retiming.Logic3.t) ->
-  ?init_right:(int -> Ppet_retiming.Logic3.t) ->
-  Ppet_netlist.Circuit.t ->
-  Ppet_netlist.Circuit.t ->
-  verdict
-(** 3-valued compatibility from the given initial states (default all
-    zero): a mismatch needs both sides concrete and different. Default 16
-    cycles (the 3-valued interpreter is slower). *)

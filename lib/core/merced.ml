@@ -49,7 +49,7 @@ let run ?(params = Params.default) ?locked circuit =
      assignment stages all relax over its rows. *)
   let csr = Obs.span "merced.csr" (fun () -> Csr.of_netgraph graph) in
   (* STEP 2: strongly connected components *)
-  let budget = Obs.span "merced.scc_budget" (fun () -> Scc_budget.create circuit graph) in
+  let budget = Obs.span "merced.scc_budget" (fun () -> Scc_budget.create ~csr circuit graph) in
   Log.debug (fun m ->
       m "STEP 2: %d components, %d flip-flops on loops"
         (Scc_budget.n_components budget)

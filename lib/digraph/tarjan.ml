@@ -4,80 +4,90 @@ type result = {
   members : int array array;
 }
 
-(* Iterative Tarjan: an explicit stack of (vertex, successor cursor) frames
-   avoids stack overflow on the deep netlists of the large benchmarks. *)
-let run g =
-  let n = Netgraph.n_nodes g in
-  Netgraph.freeze g;
+(* Iterative Tarjan over successor rows: the successors of [v] are
+   [succ.(off.(v)) .. succ.(off.(v + 1) - 1)]. Explicit array frames of
+   (vertex, row cursor) avoid stack overflow on the deep netlists of the
+   large benchmarks. *)
+let of_rows n off succ =
   let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
+  let low = Array.make n 0 in
   let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next_index = ref 0 in
+  let stack = Array.make (max n 1) 0 in
+  let sp = ref 0 in
   let component = Array.make n (-1) in
-  let comp_count = ref 0 in
-  let succs = Array.init n (fun v -> Netgraph.successors g v) in
-  let visit root =
-    let frames = ref [ (root, ref 0) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
-    incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !frames <> [] do
-      match !frames with
-      | [] -> ()
-      | (v, cursor) :: rest ->
-        if !cursor < Array.length succs.(v) then begin
-          let w = succs.(v).(!cursor) in
-          incr cursor;
-          if index.(w) < 0 then begin
-            index.(w) <- !next_index;
-            lowlink.(w) <- !next_index;
-            incr next_index;
-            stack := w :: !stack;
-            on_stack.(w) <- true;
-            frames := (w, ref 0) :: !frames
-          end
-          else if on_stack.(w) then
-            lowlink.(v) <- min lowlink.(v) index.(w)
+  let count = ref 0 in
+  let next = ref 0 in
+  let frame_v = Array.make (max n 1) 0 in
+  let frame_i = Array.make (max n 1) 0 in
+  let fp = ref (-1) in
+  let open_frame v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    incr fp;
+    frame_v.(!fp) <- v;
+    frame_i.(!fp) <- off.(v)
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      open_frame root;
+      while !fp >= 0 do
+        let v = frame_v.(!fp) in
+        let i = frame_i.(!fp) in
+        if i < off.(v + 1) then begin
+          frame_i.(!fp) <- i + 1;
+          let w = succ.(i) in
+          if index.(w) < 0 then open_frame w
+          else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w)
         end
         else begin
-          (* v is fully explored: maybe close a component, then pop. *)
-          if lowlink.(v) = index.(v) then begin
+          (* v is fully explored: maybe close a component, then pop *)
+          if low.(v) = index.(v) then begin
             let continue = ref true in
             while !continue do
-              match !stack with
-              | [] -> continue := false
-              | w :: tl ->
-                stack := tl;
-                on_stack.(w) <- false;
-                component.(w) <- !comp_count;
-                if w = v then continue := false
+              decr sp;
+              let w = stack.(!sp) in
+              on_stack.(w) <- false;
+              component.(w) <- !count;
+              if w = v then continue := false
             done;
-            incr comp_count
+            incr count
           end;
-          frames := rest;
-          (match rest with
-           | (parent, _) :: _ ->
-             lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-           | [] -> ())
+          decr fp;
+          if !fp >= 0 then begin
+            let p = frame_v.(!fp) in
+            if low.(v) < low.(p) then low.(p) <- low.(v)
+          end
         end
-    done
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then visit v
+      done
+    end
   done;
-  let counts = Array.make !comp_count 0 in
-  Array.iter (fun c -> counts.(c) <- counts.(c) + 1) component;
-  let members = Array.init !comp_count (fun c -> Array.make counts.(c) 0) in
-  let fill = Array.make !comp_count 0 in
+  let count = !count in
+  let sizes = Array.make count 0 in
+  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) component;
+  let members = Array.init count (fun c -> Array.make sizes.(c) 0) in
+  let fill = Array.make count 0 in
   for v = 0 to n - 1 do
     let c = component.(v) in
     members.(c).(fill.(c)) <- v;
     fill.(c) <- fill.(c) + 1
   done;
-  { component; count = !comp_count; members }
+  { component; count; members }
+
+let of_csr (csr : Csr.t) = of_rows csr.Csr.n csr.Csr.succ_off csr.Csr.succ
+
+let run g =
+  Netgraph.freeze g;
+  let n = Netgraph.n_nodes g in
+  let rows = Array.init n (Netgraph.successors g) in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Array.length rows.(v)
+  done;
+  of_rows n off (Array.concat (Array.to_list rows))
 
 let has_self_loop g v =
   Array.exists

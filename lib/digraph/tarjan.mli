@@ -12,7 +12,12 @@ type result = {
 val run : Netgraph.t -> result
 (** Components are numbered in reverse topological order of the condensed
     graph (a net from component [a] to component [b <> a] implies
-    [a > b]). *)
+    [a > b]). Members are listed in ascending vertex order. *)
+
+val of_csr : Csr.t -> result
+(** [run] over a snapshot's successor rows, for callers that already
+    hold one: they mirror {!Netgraph.successors}, so the numbering is
+    the one [run] gives on the source graph. *)
 
 val is_trivial : result -> Netgraph.t -> int -> bool
 (** [is_trivial r g c] holds when component [c] is a single vertex without

@@ -84,6 +84,24 @@ let find name =
 
 let names = List.map (fun e -> e.profile.Generator.name) all
 
+let validate_names ?(flag = "") names_given =
+  List.iter
+    (fun name ->
+      if
+        name <> "s27"
+        && (not (List.mem name names))
+        && not (List.mem name synthetic_names)
+      then
+        raise
+          (Circuit.Error
+             (Printf.sprintf
+                "%s%S is neither \"s27\", a known benchmark (%s), nor a \
+                 synthetic profile (%s)"
+                (if flag = "" then "" else flag ^ ": ")
+                name (String.concat ", " names)
+                (String.concat ", " synthetic_names))))
+    names_given
+
 let cache : (string * int64, Circuit.t) Hashtbl.t = Hashtbl.create 17
 
 let circuit ?(seed = 0x5EEDL) name =

@@ -32,6 +32,12 @@ val find : string -> entry
 val names : string list
 (** The paper benchmarks only (no [synth*] entries). *)
 
+val validate_names : ?flag:string -> string list -> unit
+(** Raises {!Circuit.Error} on the first name that is neither ["s27"],
+    a paper benchmark, nor a synthetic profile — the circuit lists
+    [merced campaign] and [merced bench] accept. [flag] (e.g.
+    ["--benchmarks"]) prefixes the message. *)
+
 val circuit : ?seed:int64 -> string -> Circuit.t
 (** Generate the synthetic stand-in for the named benchmark. Results are
     cached per (name, seed): repeated calls return the same value. *)

@@ -7,10 +7,73 @@ let pinned g v =
   | Rgraph.Vpi _ | Rgraph.Vhost -> true
   | Rgraph.Vgate _ -> false
 
+(* The first vertex, in ascending order, that lies on a cycle of the
+   predecessor forest [pred] (-1 = root), or -1 when the forest is
+   acyclic. [color] is scratch of length n: 1 = on the walk in hand,
+   2 = known to end at a root or on a cycle already passed over. Each
+   vertex is colored once, so a sweep costs O(n).
+
+   Every predecessor assignment of a relaxation was a strict
+   improvement, so summing the label drops around any cycle of the
+   forest shows its arc lengths sum below 0: a forest cycle IS a
+   negative constraint cycle. *)
+let forest_cycle pred color n =
+  Array.fill color 0 n 0;
+  let found = ref (-1) in
+  let v0 = ref 0 in
+  while !found < 0 && !v0 < n do
+    if color.(!v0) = 0 then begin
+      let u = ref !v0 in
+      while !u >= 0 && color.(!u) = 0 do
+        color.(!u) <- 1;
+        u := pred.(!u)
+      done;
+      if !u >= 0 && color.(!u) = 1 then found := !u
+      else begin
+        let w = ref !v0 in
+        while !w >= 0 && color.(!w) = 1 do
+          color.(!w) <- 2;
+          w := pred.(!w)
+        done
+      end
+    end;
+    incr v0
+  done;
+  !found
+
+(* The cycle through [w], which must lie on a cycle of [pred], in arc
+   order: each vertex is the predecessor of the next. *)
+let collect_cycle pred w =
+  let cycle = ref [] in
+  let cur = ref w in
+  let continue = ref true in
+  while !continue do
+    cycle := !cur :: !cycle;
+    cur := pred.(!cur);
+    if !cur = w then continue := false
+  done;
+  !cycle
+
+(* The cycle reported for a relax-count cutoff at [v]: the one [v]'s
+   predecessor chain runs into (n steps back are on it), or, when that
+   chain ends at a root, the forest's first cycle. Only called once
+   [forest_cycle] has found one. *)
+let cutoff_cycle pred color n v =
+  let u = ref v and steps = ref 0 in
+  while !steps < n && !u >= 0 do
+    u := pred.(!u);
+    incr steps
+  done;
+  collect_cycle pred (if !u >= 0 then !u else forest_cycle pred color n)
+
 (* Difference constraints rho(u) - rho(v) <= weight(e) - require(e) per
    edge e = u -> v, plus rho(p) = 0 for pinned vertices, solved by
-   queue-based Bellman-Ford (SPFA). A vertex relaxed >= n times lies on a
-   negative cycle; we walk predecessor links to extract it. *)
+   queue-based Bellman-Ford (SPFA). A vertex relaxed more than n times
+   suggests a negative cycle, but one scan over parallel arcs to the
+   same vertex can pass that count early, before the predecessor forest
+   holds a cycle (or when there is none); so the cutoff stops the run
+   only when the forest holds a cycle, and otherwise restarts the count
+   and relaxes on. *)
 let solve g ~require =
   Ppet_obs.Obs.span "retime.solve" @@ fun () ->
   let n = Rgraph.n_vertices g in
@@ -42,6 +105,7 @@ let solve g ~require =
   for v = 0 to n - 1 do
     Queue.add v queue
   done;
+  let color = Array.make n 0 in
   let neg_vertex = ref (-1) in
   let relaxations = ref 0 in
   (try
@@ -56,8 +120,11 @@ let solve g ~require =
              pred.(v) <- u;
              relax_count.(v) <- relax_count.(v) + 1;
              if relax_count.(v) > n then begin
-               neg_vertex := v;
-               raise Exit
+               if forest_cycle pred color n >= 0 then begin
+                 neg_vertex := v;
+                 raise Exit
+               end;
+               relax_count.(v) <- 0
              end;
              if not in_queue.(v) then begin
                in_queue.(v) <- true;
@@ -68,22 +135,7 @@ let solve g ~require =
      done
    with Exit -> ());
   Ppet_obs.Obs.add Ppet_obs.Obs.Metric.Bf_relaxations !relaxations;
-  if !neg_vertex >= 0 then begin
-    (* step back n times to be sure we are on the cycle, then collect it *)
-    let v = ref !neg_vertex in
-    for _ = 1 to n do
-      v := pred.(!v)
-    done;
-    let cycle = ref [] in
-    let cur = ref !v in
-    let continue = ref true in
-    while !continue do
-      cycle := !cur :: !cycle;
-      cur := pred.(!cur);
-      if !cur = !v then continue := false
-    done;
-    Infeasible !cycle
-  end
+  if !neg_vertex >= 0 then Infeasible (cutoff_cycle pred color n !neg_vertex)
   else begin
     (* normalise so pinned vertices sit at lag 0 *)
     let shift = if !first_pinned >= 0 then dist.(!first_pinned) else 0 in
@@ -219,59 +271,13 @@ module Solver = struct
       end
     done
 
-  (* collect the cycle through [w], which must lie on a pred cycle *)
-  let collect_cycle s w =
-    let cycle = ref [] in
-    let cur = ref w in
-    let continue = ref true in
-    while !continue do
-      cycle := !cur :: !cycle;
-      cur := s.pred.(!cur);
-      if !cur = w then continue := false
-    done;
-    !cycle
-
-  let extract_cycle s neg_vertex =
-    let v = ref neg_vertex in
-    for _ = 1 to s.n do
-      v := s.pred.(!v)
-    done;
-    collect_cycle s !v
-
-  (* Early negative-cycle detection: every predecessor assignment was a
-     strict improvement, so summing [dist] drops around any cycle of the
-     pred forest shows its total length is negative — a cycle in the
-     pred graph IS a negative constraint cycle. Sweeping the forest costs
-     O(n) (each vertex colored once), so running it every ~n relaxations
-     detects infeasibility after O(n + m) work where the bare
-     [relax_count > n] cutoff needs O(n * m). Vertices are scanned in
-     ascending order, keeping the reported cycle deterministic. *)
-  let pred_cycle s =
-    let color = s.color and pred = s.pred in
-    let n = s.n in
-    Array.fill color 0 n 0;
-    let found = ref (-1) in
-    let v0 = ref 0 in
-    while !found < 0 && !v0 < n do
-      if color.(!v0) = 0 then begin
-        (* walk the pred chain: 1 = on this path, 2 = exhausted *)
-        let u = ref !v0 in
-        while !u >= 0 && color.(!u) = 0 do
-          color.(!u) <- 1;
-          u := pred.(!u)
-        done;
-        if !u >= 0 && color.(!u) = 1 then found := !u
-        else begin
-          let w = ref !v0 in
-          while !w >= 0 && color.(!w) = 1 do
-            color.(!w) <- 2;
-            w := pred.(!w)
-          done
-        end
-      end;
-      incr v0
-    done;
-    !found
+  (* Early negative-cycle detection: a cycle of the pred forest is a
+     negative constraint cycle ([forest_cycle]), and sweeping the forest
+     every ~n relaxations detects infeasibility after O(n + m) work
+     where the bare [relax_count > n] cutoff needs O(n * m). Vertices
+     are scanned in ascending order, keeping the reported cycle
+     deterministic. *)
+  let pred_cycle s = forest_cycle s.pred s.color s.n
 
   (* Every cycle of the pred forest, not just the first: cycles are
      vertex-disjoint (each vertex has one pred), and by the argument
@@ -291,7 +297,7 @@ module Solver = struct
           u := pred.(!u)
         done;
         if !u >= 0 && color.(!u) = 1 then
-          cycles := collect_cycle s !u :: !cycles;
+          cycles := collect_cycle pred !u :: !cycles;
         let w = ref v0 in
         while !w >= 0 && color.(!w) = 1 do
           color.(!w) <- 2;
@@ -369,10 +375,15 @@ module Solver = struct
              Array.unsafe_set pred v u;
              let rc = Array.unsafe_get relax_count v + 1 in
              Array.unsafe_set relax_count v rc;
+             (* a count above n is no proof until the forest holds a
+                cycle: see [solve] *)
              if rc > n then begin
-               neg_vertex := v;
-               s.scanning <- u;
-               raise Exit
+               if pred_cycle s >= 0 then begin
+                 neg_vertex := v;
+                 s.scanning <- u;
+                 raise Exit
+               end;
+               Array.unsafe_set relax_count v 0
              end;
              if not (Array.unsafe_get in_queue v) then begin
                Array.unsafe_set in_queue v true;
@@ -438,8 +449,8 @@ module Solver = struct
   let run ?warm s ~require =
     match run_raw ?warm s ~require with
     | Rfeasible rho -> Feasible rho
-    | Rsweep w -> Infeasible (collect_cycle s w)
-    | Rcutoff v -> Infeasible (extract_cycle s v)
+    | Rsweep w -> Infeasible (collect_cycle s.pred w)
+    | Rcutoff v -> Infeasible (cutoff_cycle s.pred s.color s.n v)
 
   let result s = function
     | Rfeasible rho -> Ok rho

@@ -10,10 +10,12 @@ type t = {
   dff_count : int array;
 }
 
-let create c g =
+let create ?csr c g =
   if Netgraph.n_nodes g <> Circuit.size c then
     invalid_arg "Scc_budget.create: graph does not match circuit";
-  let result = Tarjan.run g in
+  let result =
+    match csr with Some csr -> Tarjan.of_csr csr | None -> Tarjan.run g
+  in
   let loop =
     Array.init result.Tarjan.count (fun comp ->
         not (Tarjan.is_trivial result g comp))

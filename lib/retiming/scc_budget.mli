@@ -10,9 +10,12 @@
 
 type t
 
-val create : Ppet_netlist.Circuit.t -> Ppet_digraph.Netgraph.t -> t
+val create :
+  ?csr:Ppet_digraph.Csr.t -> Ppet_netlist.Circuit.t -> Ppet_digraph.Netgraph.t -> t
 (** The graph must be [To_graph.partition_view] of the circuit (vertex
-    ids = node ids). *)
+    ids = node ids). A caller holding the graph's CSR snapshot passes
+    it, and the components are found over its rows instead of the
+    graph's. *)
 
 val scc : t -> Ppet_digraph.Tarjan.result
 

@@ -10,7 +10,6 @@ module Campaign = Ppet_core.Campaign
 module Fault_engine = Ppet_bist.Fault_engine
 module Assign = Ppet_core.Assign
 module Phasing = Ppet_core.Phasing
-module Bench_runner = Ppet_core.Bench_runner
 module Pet = Ppet_bist.Pet
 module Simulator = Ppet_bist.Simulator
 module Pipeline = Ppet_bist.Pipeline
@@ -50,6 +49,21 @@ let load_circuit_locked spec =
   Mutex.protect load_mutex (fun () -> load_circuit spec)
 
 let canonical c = Bench_writer.to_string c
+
+(* .bench files are read as text, so lint can take them through the
+   tolerant front end and submit can ship them inline; "s27", benchmark
+   names and .v files are resolved by [load_circuit] *)
+let read_bench_file spec =
+  if
+    spec <> "s27"
+    && Sys.file_exists spec
+    && not (Filename.check_suffix spec ".v")
+  then
+    Some
+      ( In_channel.with_open_text spec In_channel.input_all,
+        Filename.(remove_extension (basename spec)),
+        spec )
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* compile (the CLI's `partition`, human form)                         *)
@@ -139,36 +153,6 @@ let lint ?pool ?rules ?verbose ~params c =
 
 let lint_text ?pool ?rules ?verbose ~params ?title ?file text =
   lint_outcome ?verbose (Lint_engine.run_text ?pool ?rules ~params ?title ?file text)
-
-(* ------------------------------------------------------------------ *)
-(* bench                                                               *)
-
-let validate_benchmarks names =
-  List.iter
-    (fun name ->
-      if
-        name <> "s27"
-        && (not (List.mem name Benchmarks.names))
-        && not (List.mem name Benchmarks.synthetic_names)
-      then
-        raise
-          (Circuit.Error
-             (Printf.sprintf
-                "%S is neither \"s27\", a known benchmark (%s), nor a \
-                 synthetic profile (%s)"
-                name
-                (String.concat ", " Benchmarks.names)
-                (String.concat ", " Benchmarks.synthetic_names))))
-    names
-
-let bench ~benchmarks ~repeat =
-  validate_benchmarks benchmarks;
-  if repeat < 1 then raise (Circuit.Error "repeat must be >= 1");
-  let entries =
-    Mutex.protect load_mutex (fun () ->
-        Bench_runner.run { Bench_runner.benchmarks; repeat; jobs = 1 })
-  in
-  { exit_code = 0; output = Report.bench_json ~name:"pipeline" ~entries }
 
 (* ------------------------------------------------------------------ *)
 (* campaign                                                            *)

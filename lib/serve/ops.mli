@@ -29,6 +29,15 @@ val canonical : Ppet_netlist.Circuit.t -> string
     a circuit submitted by name and the same circuit submitted inline
     address the same cache entry. *)
 
+val read_bench_file : string -> (string * string * string) option
+(** [read_bench_file spec] is [Some (text, title, path)] when [spec] is a
+    .bench file on disk (any existing path but ["s27"] and [.v]
+    files), with the title [merced lint] and [merced submit] give it:
+    the base name without extension. Lint takes such a file through
+    the tolerant text front end ({!lint_text}), so a broken file is
+    findings, not an error; submit ships it inline. [None] for
+    everything {!load_circuit} resolves otherwise. *)
+
 val compile :
   ?verbose:bool ->
   ?locked:(int -> bool) ->
@@ -79,15 +88,6 @@ val lint_text :
   outcome
 (** Lint .bench text through the tolerant front-end (malformed input is
     findings, not a crash), matching [merced lint FILE.bench]. *)
-
-val validate_benchmarks : string list -> unit
-(** Raise {!Ppet_netlist.Circuit.Error} on any name that is neither
-    ["s27"], a registry benchmark, nor a synthetic profile. *)
-
-val bench : benchmarks:string list -> repeat:int -> outcome
-(** Time the pipeline sweep serially (jobs = 1) and return the BENCH
-    JSON document. Never cached by the daemon — timings are not a
-    function of the inputs. *)
 
 val campaign :
   ?pool:Ppet_parallel.Domain_pool.t ->

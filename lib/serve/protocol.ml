@@ -1,5 +1,4 @@
 module Params = Ppet_core.Params
-module Bench_runner = Ppet_core.Bench_runner
 module Campaign = Ppet_core.Campaign
 
 (* ------------------------------------------------------------------ *)
@@ -14,14 +13,10 @@ type job =
   | Lint of { source : source; rules : string list; verbose : bool }
   | Selftest of { source : source; max_width : int }
   | Analyze of { source : source; json : bool }
-  | Bench of { benchmarks : string list; repeat : int }
   | Campaign of {
       profiles : string list;
-      words : int;
-      drop : bool;
       max_width : int;
       min_coverage : float;
-      prune : bool;
     }
   | Sleep of { ms : int }
 
@@ -45,7 +40,6 @@ let op_name = function
   | Lint _ -> "lint"
   | Selftest _ -> "selftest"
   | Analyze _ -> "analyze"
-  | Bench _ -> "bench"
   | Campaign _ -> "campaign"
   | Sleep _ -> "sleep"
 
@@ -129,22 +123,10 @@ let job_of_json op j =
   | "analyze" ->
     let* source = source_of_json j in
     Ok (Analyze { source; json = flag "json" j })
-  | "bench" ->
-    let d = Bench_runner.default_plan in
-    let* benchmarks = string_list_member "benchmarks" j in
-    let benchmarks =
-      Option.value ~default:d.Bench_runner.benchmarks benchmarks
-    in
-    let repeat =
-      Option.value ~default:d.Bench_runner.repeat (Json.int_member "repeat" j)
-    in
-    Ok (Bench { benchmarks; repeat })
   | "campaign" ->
     let d = Campaign.default_plan in
     let* profiles = string_list_member "profiles" j in
     let profiles = Option.value ~default:d.Campaign.profiles profiles in
-    let words = Option.value ~default:d.Campaign.words (Json.int_member "words" j) in
-    let drop = Option.value ~default:d.Campaign.drop (Json.bool_member "drop" j) in
     let max_width =
       Option.value ~default:d.Campaign.max_width (Json.int_member "max_width" j)
     in
@@ -156,14 +138,12 @@ let job_of_json op j =
         | Some f when f >= 0.0 && f <= 1.0 -> Ok f
         | _ -> Error "\"min_coverage\" must be a number in 0..1")
     in
-    let prune = Option.value ~default:d.Campaign.prune (Json.bool_member "prune" j) in
     if profiles = [] then Error "campaign needs a non-empty \"profiles\" list"
-    else if words < 1 then Error "\"words\" must be >= 1"
     else if
       max_width < 0 || max_width > Ppet_bist.Fault_engine.max_exhaustive_width
     then
       Error "\"max_width\" must be in 0..20"
-    else Ok (Campaign { profiles; words; drop; max_width; min_coverage; prune })
+    else Ok (Campaign { profiles; max_width; min_coverage })
   | "sleep" -> (
     match Json.int_member "ms" j with
     | Some ms when ms >= 0 -> Ok (Sleep { ms })
@@ -184,8 +164,7 @@ let job_request_of_json op j =
   in
   Ok { job; params; timeout_ms; progress = flag "progress" j }
 
-let job_ops =
-  [ "compile"; "lint"; "selftest"; "analyze"; "bench"; "campaign"; "sleep" ]
+let job_ops = [ "compile"; "lint"; "selftest"; "analyze"; "campaign"; "sleep" ]
 
 let request_of_json j =
   let id = Json.str_member "id" j in

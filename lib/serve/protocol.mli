@@ -9,11 +9,9 @@
 
     Request ops and their fields (defaults in parentheses): [compile]
     with [verbose] (false); [lint] with [rules] (all) and [verbose];
-    [selftest] with [max_width] (16, the default l_k); [bench] with
-    [benchmarks] and [repeat]; [campaign] with [profiles] (all
-    seventeen), [words] (8), [drop] (true), [max_width] (16) and
-    [min_coverage] (0 — the probe is
-    a CLI-side measurement and has no wire form); [sleep] with [ms] — a
+    [selftest] with [max_width] (16, the default l_k); [analyze] with
+    [json] (false); [campaign] with [profiles] (all seventeen),
+    [max_width] (16) and [min_coverage] (0); [sleep] with [ms] — a
     diagnostic job that holds a worker, streams a "sleep" stage and
     honours [timeout_ms]; [suite] with [jobs], a list of job objects
     answered by one aggregated reply; [stats]; [shutdown].
@@ -35,14 +33,10 @@ type job =
   | Lint of { source : source; rules : string list; verbose : bool }
   | Selftest of { source : source; max_width : int }
   | Analyze of { source : source; json : bool }
-  | Bench of { benchmarks : string list; repeat : int }
   | Campaign of {
       profiles : string list;
-      words : int;
-      drop : bool;
       max_width : int;
       min_coverage : float;
-      prune : bool;
     }
   | Sleep of { ms : int }
 

@@ -224,18 +224,10 @@ let circuit_of source =
 let lint_input source =
   match source with
   | Protocol.Text { text; title; file } -> `Text (text, title, file)
-  | Protocol.Spec spec ->
-    if
-      spec <> "s27"
-      && Sys.file_exists spec
-      && not (Filename.check_suffix spec ".v")
-    then
-      let src = In_channel.with_open_text spec In_channel.input_all in
-      `Text
-        ( src,
-          Some Filename.(remove_extension (basename spec)),
-          Some spec )
-    else `Circuit (Ops.load_circuit_locked spec)
+  | Protocol.Spec spec -> (
+    match Ops.read_bench_file spec with
+    | Some (text, title, file) -> `Text (text, Some title, Some file)
+    | None -> `Circuit (Ops.load_circuit_locked spec))
 
 let done_of_cache (e : Cache.entry) =
   Protocol.Done
@@ -246,18 +238,15 @@ let done_of_cache (e : Cache.entry) =
       stages = e.Cache.stages;
     }
 
-let run_cached t ?emit ?key run =
-  match Option.bind key (fun k -> Cache.find t.cache k) with
+let run_cached t ?emit ~key run =
+  match Cache.find t.cache key with
   | Some e -> done_of_cache e
   | None ->
     let tr = Obs.create () in
     let (o : Ops.outcome) = traced ?emit tr run in
     let stages = top_spans (Obs.events tr) in
-    (match key with
-     | Some k ->
-       Cache.store t.cache k
-         { Cache.exit_code = o.Ops.exit_code; output = o.Ops.output; stages }
-     | None -> ());
+    Cache.store t.cache key
+      { Cache.exit_code = o.Ops.exit_code; output = o.Ops.output; stages };
     Protocol.Done
       {
         Protocol.exit_code = o.Ops.exit_code;
@@ -341,20 +330,14 @@ let execute t ?emit ~deadline (jreq : Protocol.job_request) =
        in
        run_cached t ?emit ~key (fun () ->
            Ops.lint ?rules:rules_opt ~verbose ~params c))
-  | Protocol.Bench { benchmarks; repeat } ->
-    run_cached t ?emit (fun () -> Ops.bench ~benchmarks ~repeat)
-  | Protocol.Campaign { profiles; words; drop; max_width; min_coverage; prune }
-    ->
+  | Protocol.Campaign { profiles; max_width; min_coverage } ->
     let plan =
       {
         Ppet_core.Campaign.default_plan with
         Ppet_core.Campaign.profiles;
         params;
-        words;
-        drop;
         max_width;
         min_coverage;
-        prune;
       }
     in
     (* cacheable: the human rendering carries no timings, so the same
@@ -362,9 +345,7 @@ let execute t ?emit ~deadline (jreq : Protocol.job_request) =
     let key =
       Cache.key ~op:"campaign" ~params_fp
         ~content:(String.concat "," profiles)
-        ~extra:
-          (Printf.sprintf "words=%d;drop=%b;mw=%d;mc=%h;prune=%b" words drop
-             max_width min_coverage prune)
+        ~extra:(Printf.sprintf "mw=%d;mc=%h" max_width min_coverage)
     in
     run_cached t ?emit ~key (fun () -> fst (Ops.campaign plan))
 

@@ -176,9 +176,11 @@ let test_resume_random () =
 (* The relax-count cutoff, which the pred-forest sweep pre-empts on
    every circuit above: gate g reads input a through 6, 5, .., 0
    registers, and requiring 7 on each of those edges gives g seven
-   parallel constraint arcs to a, each shorter than the last, so
-   scanning g relaxes a four times (n = 3) and trips the cutoff in
-   mid-scan. The resumed queue must then hold a (its label dropped
+   parallel constraint arcs to a, each shorter than the last. The first
+   scan of g relaxes a seven times (n = 3) before the pred forest holds
+   a cycle, so the count restarts and the run goes on; g's second scan
+   passes it again with the cycle a -> host -> g in the forest and stops
+   in mid-scan. The resumed queue must then hold a (its label dropped
    without queueing it) and g (its scan was cut short). *)
 let test_resume_after_cutoff () =
   let src =

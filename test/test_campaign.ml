@@ -4,7 +4,14 @@
 module Circuit = Ppet_netlist.Circuit
 module Campaign = Ppet_core.Campaign
 module Params = Ppet_core.Params
+module Merced = Ppet_core.Merced
 module Domain_pool = Ppet_parallel.Domain_pool
+module Benchmarks = Ppet_netlist.Benchmarks
+module Segment = Ppet_netlist.Segment
+module Simulator = Ppet_bist.Simulator
+module Fault = Ppet_bist.Fault
+module Fault_engine = Ppet_bist.Fault_engine
+module Batch = Ppet_bist.Fault_engine.Batch
 
 let plan profiles =
   { Campaign.default_plan with Campaign.profiles }
@@ -16,7 +23,7 @@ let test_human_golden_s27 () =
   let expected =
     String.concat "\n"
       [
-        "campaign: 1 circuits, words 8, drop on, max width 16, prune on";
+        "campaign: 1 circuits, words 8, max width 16";
         "circuit       gates  dffs  segs  tested   faults  pruned  detected  coverage   aliasing  test-cycles";
         "s27              10     3     1       1       34       0        34   100.00%   7.81e-03           24";
         "total: 34/34 faults detected (0 untestable pruned; coverage 100.00% \
@@ -56,7 +63,7 @@ let test_json_schema () =
   Alcotest.(check bool) "campaign name" true (has "\"name\": \"campaign\"");
   Alcotest.(check bool) "circuits array" true (has "\"circuits\": [");
   Alcotest.(check bool) "s27 entry" true (has "\"name\": \"s27\"");
-  Alcotest.(check bool) "prune knob" true (has "\"prune\": true");
+  Alcotest.(check bool) "max width" true (has "\"max_width\": 16");
   Alcotest.(check bool) "untestable field" true (has "\"untestable\": 0");
   Alcotest.(check bool) "testable field" true (has "\"testable\": 34");
   Alcotest.(check bool) "raw coverage field" true (has "\"coverage_raw\": 1");
@@ -83,7 +90,7 @@ let test_below_min_gate () =
 let test_unknown_profile_rejected () =
   Alcotest.(check bool) "raises Circuit.Error" true
     (try
-       Campaign.validate_profiles [ "s27"; "nope" ];
+       ignore (Campaign.run (plan [ "s27"; "nope" ]));
        false
      with Circuit.Error _ -> true)
 
@@ -98,37 +105,46 @@ let test_bad_knobs_rejected () =
     (bad { (plan [ "s27" ]) with Campaign.max_width = 30 })
 
 (* the acceptance invariant of the pruning pre-pass: the detected-fault
-   count is bit-identical with pruning on and off (pruned faults are
-   provably undetectable, and verdicts are per-fault), only the
-   denominator moves *)
+   count equals that of the batch engine over each tested segment's full
+   collapsed fault list (pruned faults are provably undetectable, and
+   verdicts are per-fault), so only the coverage denominator moves *)
+let unpruned name =
+  let c =
+    if name = "s27" then Ppet_netlist.S27.circuit () else Benchmarks.circuit name
+  in
+  let r = Merced.run ~params:Campaign.default_plan.Campaign.params c in
+  let sim = Simulator.create c in
+  let policy = Batch.policy () in
+  List.fold_left
+    (fun (faults, detected) seg ->
+      if Segment.input_count seg > Campaign.default_plan.Campaign.max_width then
+        (faults, detected)
+      else
+        let all = Fault.collapse c (Fault.of_segment c seg) in
+        let o =
+          Batch.run (Fault_engine.create sim seg) policy
+            ~patterns:Batch.Exhaustive all
+        in
+        (faults + List.length all, detected + o.Batch.n_detected))
+    (0, 0) (Merced.segments r)
+
 let test_prune_identical_detected () =
-  let p = plan [ "s27"; "s420.1"; "s641" ] in
-  let pruned = Campaign.run { p with Campaign.prune = true } in
-  let raw = Campaign.run { p with Campaign.prune = false } in
-  List.iter2
-    (fun (a : Campaign.circuit_report) (b : Campaign.circuit_report) ->
-      Alcotest.(check int) "detected" b.Campaign.n_detected a.Campaign.n_detected;
-      Alcotest.(check int) "faults" b.Campaign.n_faults a.Campaign.n_faults;
-      Alcotest.(check int) "unpruned count" 0 b.Campaign.n_untestable;
+  let report = Campaign.run (plan [ "s27"; "s420.1"; "s641" ]) in
+  List.iter
+    (fun (cr : Campaign.circuit_report) ->
+      let faults, detected = unpruned cr.Campaign.circuit in
+      Alcotest.(check int) "detected" detected cr.Campaign.n_detected;
+      Alcotest.(check int) "faults" faults cr.Campaign.n_faults;
       Alcotest.(check (float 1e-9)) "raw coverage agrees"
-        b.Campaign.coverage_raw a.Campaign.coverage_raw;
+        (if faults = 0 then 1.0 else float_of_int detected /. float_of_int faults)
+        cr.Campaign.coverage_raw;
       Alcotest.(check bool) "testable coverage never lower" true
-        (a.Campaign.coverage >= b.Campaign.coverage))
-    pruned.Campaign.circuits raw.Campaign.circuits;
+        (cr.Campaign.coverage >= cr.Campaign.coverage_raw))
+    report.Campaign.circuits;
   (* s420.1 is the interesting one: its tested segment carries
      statically-untestable faults, so pruning must actually fire *)
-  let s4201 = List.nth pruned.Campaign.circuits 1 in
+  let s4201 = List.nth report.Campaign.circuits 1 in
   Alcotest.(check bool) "nonzero prune" true (s4201.Campaign.n_untestable > 0)
-
-let test_drop_keep_same_report () =
-  let keep = Campaign.run { (plan [ "s27"; "s510" ]) with Campaign.drop = false } in
-  let drop = Campaign.run { (plan [ "s27"; "s510" ]) with Campaign.drop = true } in
-  List.iter2
-    (fun (k : Campaign.circuit_report) (d : Campaign.circuit_report) ->
-      Alcotest.(check int) "detected" k.Campaign.n_detected d.Campaign.n_detected;
-      Alcotest.(check bool) "drop works no harder" true
-        (d.Campaign.word_evals <= k.Campaign.word_evals))
-    keep.Campaign.circuits drop.Campaign.circuits
 
 let suite =
   [
@@ -142,5 +158,4 @@ let suite =
     Alcotest.test_case "bad knobs rejected" `Quick test_bad_knobs_rejected;
     Alcotest.test_case "prune = raw detected sets" `Quick
       test_prune_identical_detected;
-    Alcotest.test_case "drop = keep verdicts" `Quick test_drop_keep_same_report;
   ]

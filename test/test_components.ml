@@ -2,7 +2,6 @@ module Netgraph = Ppet_digraph.Netgraph
 module Components = Ppet_digraph.Components
 module Csr = Ppet_digraph.Csr
 module Union_find = Ppet_digraph.Union_find
-module Traverse = Ppet_digraph.Traverse
 
 let chain () =
   let g = Netgraph.create 4 in
@@ -92,31 +91,6 @@ let test_union_find_idempotent () =
   Union_find.union uf 1 0;
   Alcotest.(check int) "still two groups" 2 (Array.length (Union_find.groups uf))
 
-let test_reachable () =
-  let g, _, _, _ = chain () in
-  let r = Traverse.reachable g ~from:[ 1 ] in
-  Alcotest.(check (array bool)) "forward cone" [| false; true; true; true |] r;
-  let co = Traverse.co_reachable g ~from:[ 1 ] in
-  Alcotest.(check (array bool)) "backward cone" [| true; true; false; false |] co
-
-let test_topological () =
-  let g, _, _, _ = chain () in
-  (match Traverse.topological g with
-   | Some order -> Alcotest.(check (array int)) "chain order" [| 0; 1; 2; 3 |] order
-   | None -> Alcotest.fail "chain is acyclic");
-  let g2 = Netgraph.create 2 in
-  let _ = Netgraph.add_net g2 ~src:0 ~sinks:[ 1 ] in
-  let _ = Netgraph.add_net g2 ~src:1 ~sinks:[ 0 ] in
-  Alcotest.(check bool) "cycle detected" true (Traverse.topological g2 = None)
-
-let test_levels () =
-  let g = Netgraph.create 4 in
-  let _ = Netgraph.add_net g ~src:0 ~sinks:[ 1; 2 ] in
-  let _ = Netgraph.add_net g ~src:1 ~sinks:[ 3 ] in
-  let _ = Netgraph.add_net g ~src:2 ~sinks:[ 3 ] in
-  let lv = Traverse.longest_path_levels g ~roots:[ 0 ] in
-  Alcotest.(check (array int)) "levels" [| 0; 1; 1; 2 |] lv
-
 let suite =
   [
     Alcotest.test_case "weak: everything kept" `Quick test_weak_all_kept;
@@ -128,7 +102,4 @@ let suite =
     Alcotest.test_case "multi-sink cut counted once" `Quick test_cut_nets_multisink;
     Alcotest.test_case "union-find basics" `Quick test_union_find_basics;
     Alcotest.test_case "union-find idempotent" `Quick test_union_find_idempotent;
-    Alcotest.test_case "reachability both ways" `Quick test_reachable;
-    Alcotest.test_case "topological sort" `Quick test_topological;
-    Alcotest.test_case "longest-path levels" `Quick test_levels;
   ]

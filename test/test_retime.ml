@@ -195,6 +195,101 @@ let prop_cosim_random =
           then 1
           else 0))
 
+(* The relax-count cutoff on parallel arcs: g reads a through 6, 5, ..,
+   0 registers, and requiring 7 on each of those edges gives g seven
+   parallel constraint arcs to a, each shorter than the last, so one
+   scan of g relaxes a more than n times before the predecessor forest
+   holds a cycle. With a the input (test_backend's cutoff fixture) the
+   system is infeasible and every entry point must name a genuine
+   negative cycle; with a fed from the input through [lead] = 8
+   registers it is feasible. *)
+let parallel_src ~lead =
+  let chain =
+    List.init lead (fun i ->
+        Printf.sprintf "r%d = DFF(%s)\n" (i + 1)
+          (if i = 0 then "p" else Printf.sprintf "r%d" i))
+  in
+  (if lead = 0 then "INPUT(a)\n"
+   else
+     "INPUT(p)\n" ^ String.concat "" chain ^ Printf.sprintf "a = NOT(r%d)\n" lead)
+  ^ "OUTPUT(g)\nq1 = DFF(a)\nq2 = DFF(q1)\nq3 = DFF(q2)\nq4 = DFF(q3)\n\
+     q5 = DFF(q4)\nq6 = DFF(q5)\ng = AND(q6, q5, q4, q3, q2, q1, a)\n"
+
+let parallel_fixture ~lead =
+  let rg = Rgraph.of_circuit (Parser.parse_string (parallel_src ~lead)) in
+  let a = vertex_of rg "a" in
+  (rg, fun e -> if rg.Rgraph.edges.(e).Rgraph.tail = a then 7 else 0)
+
+(* the summed length of a reported cycle, each vertex the predecessor
+   of the next: per hop the shortest constraint arc (an edge read
+   backwards, length weight - require, or a 0-length tie between pinned
+   vertices) *)
+let cycle_length rg require cycle =
+  let pinned v =
+    match rg.Rgraph.kinds.(v) with
+    | Rgraph.Vpi _ | Rgraph.Vhost -> true
+    | Rgraph.Vgate _ -> false
+  in
+  let hop x y =
+    let best = ref (if x <> y && pinned x && pinned y then Some 0 else None) in
+    Array.iteri
+      (fun e (ed : Rgraph.edge) ->
+        if ed.Rgraph.head = x && ed.Rgraph.tail = y then begin
+          let l = ed.Rgraph.weight - require e in
+          best := Some (match !best with Some b -> min b l | None -> l)
+        end)
+      rg.Rgraph.edges;
+    match !best with
+    | Some l -> l
+    | None -> Alcotest.failf "no constraint arc %d -> %d" x y
+  in
+  match cycle with
+  | [] -> Alcotest.fail "empty cycle"
+  | first :: _ ->
+    let rec go acc = function
+      | [ last ] -> acc + hop last first
+      | x :: (y :: _ as rest) -> go (acc + hop x y) rest
+      | [] -> acc
+    in
+    go 0 cycle
+
+let test_cutoff_parallel_arcs () =
+  let rg, require = parallel_fixture ~lead:0 in
+  let negative what cycle =
+    Alcotest.(check bool) (what ^ ": negative cycle") true
+      (cycle_length rg require cycle < 0)
+  in
+  (match Retime.solve rg ~require with
+   | Retime.Infeasible cycle -> negative "solve" cycle
+   | Retime.Feasible _ -> Alcotest.fail "solve: infeasible system solved");
+  let s = Retime.Solver.create rg in
+  (match Retime.Solver.run s ~require with
+   | Retime.Infeasible cycle -> negative "run" cycle
+   | Retime.Feasible _ -> Alcotest.fail "run: infeasible system solved");
+  (match Retime.Solver.run_cycles s ~require with
+   | Error [] -> Alcotest.fail "run_cycles: no cycle"
+   | Error cycles -> List.iter (negative "run_cycles") cycles
+   | Ok _ -> Alcotest.fail "run_cycles: infeasible system solved");
+  let rg, require = parallel_fixture ~lead:8 in
+  let meets what rho =
+    Alcotest.(check bool) (what ^ ": legal") true (Retime.is_legal rg rho);
+    Array.iteri
+      (fun e _ ->
+        if Retime.retimed_weight rg rho e < require e then
+          Alcotest.failf "%s: edge %d misses its requirement" what e)
+      rg.Rgraph.edges
+  in
+  (match Retime.solve rg ~require with
+   | Retime.Feasible rho -> meets "solve" rho
+   | Retime.Infeasible _ -> Alcotest.fail "solve: feasible system refused");
+  let s = Retime.Solver.create rg in
+  (match Retime.Solver.run s ~require with
+   | Retime.Feasible rho -> meets "run" rho
+   | Retime.Infeasible _ -> Alcotest.fail "run: feasible system refused");
+  match Retime.Solver.run_cycles s ~require with
+  | Ok rho -> meets "run_cycles" rho
+  | Error _ -> Alcotest.fail "run_cycles: feasible system refused"
+
 let suite =
   [
     Alcotest.test_case "identity feasible" `Quick test_identity_feasible;
@@ -207,5 +302,6 @@ let suite =
     Alcotest.test_case "co-simulation: pipeline" `Quick test_cosim_pipeline;
     Alcotest.test_case "co-simulation: ring" `Quick test_cosim_ring;
     Alcotest.test_case "co-simulation: s27" `Quick test_cosim_s27;
+    Alcotest.test_case "cutoff on parallel arcs" `Quick test_cutoff_parallel_arcs;
     QCheck_alcotest.to_alcotest prop_cosim_random;
   ]

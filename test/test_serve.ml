@@ -11,6 +11,7 @@ module Ops = Ppet_serve.Ops
 module Server = Ppet_serve.Server
 module Client = Ppet_serve.Client
 module Params = Ppet_core.Params
+module Campaign = Ppet_core.Campaign
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -258,11 +259,43 @@ let test_cache_hit_on_resubmit () =
       checks "inline same bytes" (field_str "output" first)
         (field_str "output" inline))
 
+(* the campaign op answers with the bytes and exit code of the one-shot
+   body (here the coverage gate fails s420.1, so exit 1), and a
+   resubmission comes back from the cache *)
+let campaign_job =
+  [
+    ("op", str "campaign");
+    ("profiles", Json.List [ str "s27"; str "s420.1" ]);
+    ("min_coverage", Json.Num 0.99);
+  ]
+
+let test_campaign_op () =
+  let expected, _ =
+    Ops.campaign
+      {
+        Campaign.default_plan with
+        Campaign.profiles = [ "s27"; "s420.1" ];
+        min_coverage = 0.99;
+      }
+  in
+  with_server (fun sock ->
+      let first = request sock campaign_job in
+      let second = request sock campaign_job in
+      checks "type" "result" (field_str "type" first);
+      checks "output" expected.Ops.output (field_str "output" first);
+      checki "exit code" expected.Ops.exit_code (field_int "exit_code" first);
+      checki "gate fails" 1 (field_int "exit_code" first);
+      checkb "first is fresh" false (field_bool "cached" first);
+      checkb "second is cached" true (field_bool "cached" second);
+      checks "same bytes" (field_str "output" first) (field_str "output" second))
+
 (* older clients sent the removed auto-dispatch and cutover knobs as
-   "dispatch", "model" and the cutover key below. Unknown keys are
+   "dispatch", "model" and the cutover key below, and the removed
+   campaign knobs as "words", "drop" and "prune". Unknown keys are
    ignored, so such a request parses to the same job, hits the plain
    request's cache entry and gets its bytes. The cutover key is spelled
-   in two pieces so that no source line names the removed field. *)
+   in two pieces so that no source line names the removed field. The
+   removed bench op is an unknown op. *)
 let test_old_request_keys () =
   let plain = [ ("op", str "selftest"); ("circuit", str "s27") ] in
   let old =
@@ -273,21 +306,37 @@ let test_old_request_keys () =
         ("fault" ^ "_cutover", num 0);
       ]
   in
+  let old_campaign =
+    campaign_job
+    @ [ ("words", num 1); ("drop", Json.Bool false); ("prune", Json.Bool false) ]
+  in
   let parse fields =
     match Protocol.parse (Json.to_string (obj fields)) with
     | Ok p -> p
     | Error m -> Alcotest.failf "parse failed: %s" m
   in
   checkb "same parsed request" true (parse plain = parse old);
+  checkb "same parsed campaign" true (parse campaign_job = parse old_campaign);
+  (match Protocol.parse "{\"op\":\"bench\"}" with
+   | Error m -> checks "bench is unknown" "unknown op \"bench\"" m
+   | Ok _ -> Alcotest.fail "bench op accepted");
   with_server (fun sock ->
-      let first = request sock plain in
-      let second = request sock old in
-      checks "plain is a result" "result" (field_str "type" first);
-      checkb "old keys hit the same entry" true (field_bool "cached" second);
-      checks "same bytes" (field_str "output" first)
-        (field_str "output" second);
-      checki "same exit code" (field_int "exit_code" first)
-        (field_int "exit_code" second))
+      List.iter
+        (fun (what, plain, old) ->
+          let first = request sock plain in
+          let second = request sock old in
+          checks (what ^ " is a result") "result" (field_str "type" first);
+          checkb (what ^ ": old keys hit the same entry") true
+            (field_bool "cached" second);
+          checks (what ^ ": same bytes") (field_str "output" first)
+            (field_str "output" second);
+          checki (what ^ ": same exit code") (field_int "exit_code" first)
+            (field_int "exit_code" second))
+        [ ("selftest", plain, old); ("campaign", campaign_job, old_campaign) ];
+      let bench = request sock [ ("op", str "bench") ] in
+      checks "bench type" "error" (field_str "type" bench);
+      checks "bench stage" "parse" (field_str "stage" bench);
+      checks "bench message" "unknown op \"bench\"" (field_str "message" bench))
 
 let test_poisoned_jobs () =
   with_server (fun sock ->
@@ -407,6 +456,7 @@ let suite =
       test_concurrent_mixed_batch;
     Alcotest.test_case "cache hit on resubmit" `Quick
       test_cache_hit_on_resubmit;
+    Alcotest.test_case "campaign op" `Quick test_campaign_op;
     Alcotest.test_case "old request keys are ignored" `Quick
       test_old_request_keys;
     Alcotest.test_case "poisoned jobs" `Quick test_poisoned_jobs;
