@@ -6,7 +6,7 @@
    its median Table 12 area (with retiming) both lie at or below the
    band's maximum over the same seeds.
 
-   Run with: dune exec bench/flow_band.exe (~8 min on 2 cores).
+   Run with: dune exec bench/flow_band.exe (~3 min on 2 cores).
    Prints the comparison table and writes BENCH_flow_band.json to the
    cwd. Exits 1 when Params.default's min_visit fails a circuit. *)
 

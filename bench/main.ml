@@ -520,7 +520,7 @@ let bechamel_timings () =
              Cluster.make_group ~csr c g sb flow params));
       Test.make ~name:"table10-assign-s1423"
         (Staged.stage (fun () ->
-             Assign.run ~csr c g clustering params (Prng.create 1L)));
+             Assign.run ~csr c g clustering params));
       Test.make ~name:"table12-area-accounting"
         (Staged.stage (fun () ->
              Area.compute c sb

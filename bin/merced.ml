@@ -1088,13 +1088,14 @@ let submit_request ~op ~circuit ~suite ~stats ~shutdown ~lk ~beta ~seed
           @ [ ("max_width", Sjson.Num (float_of_int max_width)) ]
         | `Analyze -> ("op", Sjson.Str "analyze") :: need_circuit ()
         | `Campaign ->
-          (* --benchmarks names the profiles *)
-          [
-            ("op", Sjson.Str "campaign");
-            ( "profiles",
-              Sjson.List (List.map (fun s -> Sjson.Str s) benchmarks) );
-            ("max_width", Sjson.Num (float_of_int max_width));
-          ]
+          (* --benchmarks names the profiles; without it the daemon
+             runs its own default, as `merced campaign` does *)
+          (("op", Sjson.Str "campaign")
+           :: (match benchmarks with
+               | Some names ->
+                 [ ("profiles", Sjson.List (List.map (fun s -> Sjson.Str s) names)) ]
+               | None -> []))
+          @ [ ("max_width", Sjson.Num (float_of_int max_width)) ]
         | `Sleep ->
           [ ("op", Sjson.Str "sleep"); ("ms", Sjson.Num (float_of_int ms)) ]
       in
@@ -1205,10 +1206,10 @@ let submit_cmd =
              ~doc:"selftest: skip exhaustive simulation of wider segments.")
   in
   let benchmarks =
-    Arg.(value
-         & opt (list string) Bench_runner.default_plan.Bench_runner.benchmarks
+    Arg.(value & opt (some (list string)) None
          & info [ "benchmarks" ] ~docv:"NAMES"
-             ~doc:"campaign: the profiles to campaign over.")
+             ~doc:"campaign: the profiles to campaign over (default: all \
+                   seventeen paper benchmarks).")
   in
   let ms =
     Arg.(value & opt int 100 & info [ "ms" ] ~docv:"MS"

@@ -58,7 +58,7 @@ let () =
     clustering.Cluster.boundaries_used;
 
   (* STEP 3c: Assign_CBIT (Table 8) *)
-  let assignment = Assign.run ~csr circuit graph clustering params rng in
+  let assignment = Assign.run ~csr circuit graph clustering params in
   Format.printf "STEP 3c: %d partitions after %d merges, %d cut nets@."
     (List.length assignment.Assign.partitions)
     assignment.Assign.merges

@@ -5,11 +5,6 @@ module Fault = Ppet_bist.Fault
 
 type reason = Unexcitable | Unobservable | Blocked
 
-let reason_name = function
-  | Unexcitable -> "unexcitable"
-  | Unobservable -> "unobservable"
-  | Blocked -> "blocked"
-
 type classification = {
   testable : Fault.t list;
   untestable : (Fault.t * reason) list;

@@ -30,8 +30,6 @@
 
 type reason = Unexcitable | Unobservable | Blocked
 
-val reason_name : reason -> string
-
 type classification = {
   testable : Ppet_bist.Fault.t list;  (** input order preserved *)
   untestable : (Ppet_bist.Fault.t * reason) list;  (** input order *)

@@ -3,7 +3,6 @@ module Components = Ppet_digraph.Components
 module Csr = Ppet_digraph.Csr
 module Circuit = Ppet_netlist.Circuit
 module Gate = Ppet_netlist.Gate
-module Prng = Ppet_digraph.Prng
 
 type partition = {
   vertices : int array;
@@ -38,37 +37,44 @@ let finalize g partitions merges =
 
 (* The greedy pass.
 
-   It has a structural invariant a table-per-cluster formulation never
-   exploits: only the current growing partition [o] ever mutates, and
-   [o] is marked dead before the scan, so every cluster still in the
-   live set carries the iota it was born with. Make_Group emits the
-   clusters sorted by input count descending, hence extract_max (first
-   strict maximum over a non-increasing sequence) is just "first alive
-   index", and an index-ordered doubly-linked alive list yields both the
-   extraction order and the ascending candidate enumeration for free.
+   Only the growing partition [o] ever mutates, and [o] leaves the
+   candidate set before it grows, so every live cluster keeps the iota
+   it was born with. Make_Group emits the clusters by input count
+   descending, so extract_max (the first strict maximum) is the first
+   live index.
 
-   Membership tests go through a vertex -> live-index [owner] array
-   (clusters partition the vertices; a vertex is relabelled at most once
-   beyond its initial assignment, when its cluster is absorbed), and
-   entering-net sets are deduplicated int arrays. The growing
-   partition's set is stamped once per greedy step, so scoring a
-   candidate is one sweep of the candidate's own set, with no hashing
-   and no allocation.
+   A greedy step picks what a scan of every live unlocked cluster in
+   index order picks: the largest gain l_k - iota(o + c) with
+   iota(o + c) <= l_k, then the most entering nets removed, then the
+   lowest index. With cnt(c) the nets of ent(o) that c sources and x(c)
+   the nets of ent(c) that o sources or already has,
+     |ent(o + c)| = |ent(o)| - cnt(c) + |ent(c)| - x(c)
+   and the merge removes cnt(c) + x(c) nets. Both counters are zero
+   unless c sources a net of ent(o), reads a net sourced in o or shares
+   an entering net with o. These neighbours are found from the sink
+   rows of ent(o) and of o's own nets, and scored exactly. Every other
+   candidate scores the disjoint iota(o) + iota(c) and removes nothing,
+   so the best of them is the lowest-index candidate of least iota that
+   is not a neighbour. A neighbour never scores below the disjoint
+   formula, so the lowest-index candidate of least iota, read from
+   per-iota candidate lists kept in index order, can stand in for it.
+   A step costs the fanout of ent(o) and of o's nets plus the neighbour
+   count plus l_k, however many clusters are live.
 
-   Above max_merge_candidates live clusters, a partial Fisher-Yates
-   draws only the sample actually kept, instead of shuffling the whole
-   candidate head (one rng draw per live cluster per greedy step). The
-   hashtable formulation kept as the test oracle shuffles the whole
-   head, so the two agree only below the cap, and the larger paper
-   benchmarks exceed it: at l_k 16, s5378 forms ~2 000 clusters and
-   s38417 ~15 000 against the default cap of 1 500. *)
+   Membership tests go through a vertex -> cluster [owner] array
+   (clusters partition the vertices; a vertex is relabelled at most
+   once beyond its initial assignment, when its cluster is absorbed),
+   and entering-net sets are deduplicated int arrays. *)
 
-let run ~csr c g (clustering : Cluster.t) (p : Params.t) rng =
+let run ~csr c g (clustering : Cluster.t) (p : Params.t) =
   if Csr.n_nodes csr <> Netgraph.n_nodes g || Csr.n_nets csr <> Netgraph.n_nets g
   then invalid_arg "Assign.run: csr snapshot does not match graph";
   let m = Csr.n_nets csr in
+  let l_k = p.Params.l_k in
   let net_src = csr.Csr.net_src in
   let in_off = csr.Csr.in_off and in_net = csr.Csr.in_net in
+  let out_off = csr.Csr.out_off and out_net = csr.Csr.out_net in
+  let sink_off = csr.Csr.sink_off and sink = csr.Csr.sink in
   let clusters = Array.of_list clustering.Cluster.clusters in
   let nl = Array.length clusters in
   (* per live cluster *)
@@ -116,65 +122,111 @@ let run ~csr c g (clustering : Cluster.t) (p : Params.t) rng =
     ent.(i) <- Array.sub !buf 0 !k;
     ent_len.(i) <- !k
   done;
-  (* index-ordered alive list *)
-  let head = ref (if nl > 0 then 0 else -1) in
-  let tail = ref (nl - 1) in
-  let prev = Array.init nl (fun i -> i - 1) in
-  let next = Array.init nl (fun i -> if i = nl - 1 then -1 else i + 1) in
-  let alive = Array.make (max nl 1) true in
-  (* alive non-locked count, for the candidate-cap decision *)
-  let alivec = ref 0 in
-  Array.iter
-    (fun (cl : Cluster.cluster) -> if not cl.Cluster.locked then incr alivec)
-    clusters;
-  let unlink i =
-    if prev.(i) >= 0 then next.(prev.(i)) <- next.(i) else head := next.(i);
-    if next.(i) >= 0 then prev.(next.(i)) <- prev.(i) else tail := prev.(i);
-    alive.(i) <- false;
-    if not clusters.(i).Cluster.locked then decr alivec
+  (* [cand]: live and unlocked, a possible mergee. Candidates of
+     iota <= l_k also sit in the index-ordered list of their iota. *)
+  let cand = Array.init (max nl 1) (fun i -> i < nl && not clusters.(i).Cluster.locked) in
+  let first = Array.make (l_k + 1) (-1) in
+  let bprev = Array.make (max nl 1) (-1) and bnext = Array.make (max nl 1) (-1) in
+  for i = nl - 1 downto 0 do
+    let b = ent_len.(i) + n_pis.(i) in
+    if cand.(i) && b <= l_k then begin
+      bnext.(i) <- first.(b);
+      if first.(b) >= 0 then bprev.(first.(b)) <- i;
+      first.(b) <- i
+    end
+  done;
+  (* o is killed before it grows, so its iota still names its list *)
+  let kill i =
+    if cand.(i) then begin
+      cand.(i) <- false;
+      let b = ent_len.(i) + n_pis.(i) in
+      if b <= l_k then begin
+        if bprev.(i) >= 0 then bnext.(bprev.(i)) <- bnext.(i) else first.(b) <- bnext.(i);
+        if bnext.(i) >= 0 then bprev.(bnext.(i)) <- bprev.(i)
+      end
+    end
   in
-  (* Scoring against the growing partition o. Once per greedy step,
-     [begin_step] stamps ent(o) and counts in [cnt.(c)] how many of its
-     nets cluster c sources. Since ent(o) holds no net sourced in o and
-     ent(gi) none sourced in gi, the entering set of o + gi is
-       ent(o) minus the cnt.(gi) nets gi sources, plus
-       the nets of ent(gi) that o does not source and ent(o) lacks,
-     so a candidate costs one sweep of ent(gi). *)
-  let cnt = Array.make (max nl 1) 0 in
-  let o_stamp = ref 0 in
-  let begin_step o =
-    incr stamp;
-    let s = !stamp in
-    o_stamp := s;
+  (* The neighbours of o, each with cnt and x, listed once per step in
+     [nb]. [seen] keeps a cluster from counting a net's sinks twice. *)
+  let step = ref 0 and visit = ref 0 in
+  let mark = Array.make (max nl 1) 0 and seen = Array.make (max nl 1) 0 in
+  let cnt = Array.make (max nl 1) 0 and x = Array.make (max nl 1) 0 in
+  let nb = Array.make (max nl 1) 0 and n_nb = ref 0 in
+  let touch k =
+    if mark.(k) <> !step then begin
+      mark.(k) <- !step;
+      cnt.(k) <- 0;
+      x.(k) <- 0;
+      nb.(!n_nb) <- k;
+      incr n_nb
+    end
+  in
+  (* every candidate that net e enters, that is, that reads e and does
+     not source it *)
+  let entered e =
+    incr visit;
+    let s = !visit and src = owner.(net_src.(e)) in
+    for t = sink_off.(e) to sink_off.(e + 1) - 1 do
+      let k = owner.(sink.(t)) in
+      if k <> src && cand.(k) && seen.(k) <> s then begin
+        seen.(k) <- s;
+        touch k;
+        x.(k) <- x.(k) + 1
+      end
+    done
+  in
+  let neighbours o =
+    incr step;
+    n_nb := 0;
     let eo = ent.(o) in
     for t = 0 to ent_len.(o) - 1 do
       let e = eo.(t) in
-      net_stamp.(e) <- s;
-      let c = owner.(net_src.(e)) in
-      cnt.(c) <- cnt.(c) + 1
-    done
-  in
-  let end_step o =
-    let eo = ent.(o) in
-    for t = 0 to ent_len.(o) - 1 do
-      cnt.(owner.(net_src.(eo.(t)))) <- 0
-    done
-  in
-  (* size of the entering set of o + gi, or -1 once it exceeds
-     [allowance] (it only grows as the sweep proceeds) *)
-  let union o gi allowance =
-    let u = ref (ent_len.(o) - cnt.(gi)) in
-    let s = !o_stamp in
-    let eg = ent.(gi) and len = ent_len.(gi) in
-    let t = ref 0 in
-    while !u <= allowance && !t < len do
-      let e = Array.unsafe_get eg !t in
-      if Array.unsafe_get owner (Array.unsafe_get net_src e) <> o
-         && Array.unsafe_get net_stamp e <> s
-      then incr u;
-      incr t
+      let k = owner.(net_src.(e)) in
+      if cand.(k) then begin
+        touch k;
+        cnt.(k) <- cnt.(k) + 1
+      end;
+      entered e
     done;
-    if !u > allowance then -1 else !u
+    let mo = mem.(o) in
+    for t = 0 to mem_len.(o) - 1 do
+      let v = mo.(t) in
+      for j = out_off.(v) to out_off.(v + 1) - 1 do
+        entered out_net.(j)
+      done
+    done
+  in
+  (* the best (gain, removed, lowest index) offered in this step *)
+  let bg = ref 0 and br = ref 0 and bi = ref (-1) in
+  let offer gain removed k =
+    if !bi < 0 || gain > !bg
+       || (gain = !bg && (removed > !br || (removed = !br && k < !bi)))
+    then begin
+      bg := gain;
+      br := removed;
+      bi := k
+    end
+  in
+  (* the mergee the full scan picks, or -1 *)
+  let pick o =
+    neighbours o;
+    let io = ent_len.(o) + n_pis.(o) in
+    bi := -1;
+    for t = 0 to !n_nb - 1 do
+      let k = nb.(t) in
+      let iota = io - cnt.(k) + ent_len.(k) - x.(k) + n_pis.(k) in
+      if iota <= l_k then offer (l_k - iota) (cnt.(k) + x.(k)) k
+    done;
+    (* The first candidate of least iota, offered at the disjoint
+       score. If it is a neighbour, its exact score above is at least
+       as high and removes a net, so neither this offer nor any
+       non-neighbour of equal or larger iota can beat it. *)
+    let b = ref 0 in
+    while !b <= l_k - io && first.(!b) < 0 do
+      incr b
+    done;
+    if !b <= l_k - io then offer (l_k - io - !b) 0 first.(!b);
+    !bi
   in
   let merge o gi =
     for t = 0 to mem_len.(gi) - 1 do
@@ -208,133 +260,36 @@ let run ~csr c g (clustering : Cluster.t) (p : Params.t) rng =
     ent_len.(o) <- !k;
     n_pis.(o) <- n_pis.(o) + n_pis.(gi);
     from.(o) <- from.(o) + from.(gi);
-    unlink gi
-  in
-  let cap = p.Params.max_merge_candidates in
-  let cand = Array.make (max nl 1) 0 in
-  let sample = Array.make (max (min nl cap) 1) 0 in
-  (* sampling pool over non-locked clusters, compacted lazily as they
-     die, so one greedy step costs O(cap) even with 10^5 clusters live *)
-  let pool = Array.make (max nl 1) 0 in
-  let p_len = ref 0 in
-  Array.iteri
-    (fun i (cl : Cluster.cluster) ->
-      if not cl.Cluster.locked then begin
-        pool.(!p_len) <- i;
-        incr p_len
-      end)
-    clusters;
-  let picked = Array.make (max nl 1) 0 in
-  let pick_s = ref 0 in
-  (* alive non-locked candidates, ascending; above the cap keep the
-     cap/2 smallest clusters (the list tail) and sample the rest *)
-  let candidates () =
-    let h = cap / 2 in
-    let keep = cap - h in
-    if !alivec <= 2 * cap then begin
-      let len = ref 0 in
-      let i = ref !head in
-      while !i >= 0 do
-        if not clusters.(!i).Cluster.locked then begin
-          cand.(!len) <- !i;
-          incr len
-        end;
-        i := next.(!i)
-      done;
-      if !len <= cap then (cand, !len)
-      else begin
-        let hlen = !len - h in
-        Array.blit cand hlen sample 0 h;
-        for t = 0 to keep - 1 do
-          let j = t + Prng.int rng (hlen - t) in
-          let tmp = cand.(t) in
-          cand.(t) <- cand.(j);
-          cand.(j) <- tmp;
-          sample.(h + t) <- cand.(t)
-        done;
-        (sample, cap)
-      end
-    end
-    else begin
-      (* far above the cap: collect the tail by walking the alive list
-         backward, then draw the head sample from the pool, rejecting
-         dead entries (compacting as encountered), tail members and
-         repeats — uniform without replacement over the same head set *)
-      incr pick_s;
-      let s = !pick_s in
-      let got = ref 0 in
-      let i = ref !tail in
-      while !got < h do
-        if not clusters.(!i).Cluster.locked then begin
-          incr got;
-          sample.(h - !got) <- !i;
-          picked.(!i) <- s
-        end;
-        i := prev.(!i)
-      done;
-      let t = ref 0 in
-      while !t < keep do
-        let idx = Prng.int rng !p_len in
-        let c = pool.(idx) in
-        if not alive.(c) then begin
-          decr p_len;
-          pool.(idx) <- pool.(!p_len)
-        end
-        else if picked.(c) <> s then begin
-          picked.(c) <- s;
-          sample.(h + !t) <- c;
-          incr t
-        end
-      done;
-      (sample, cap)
-    end
+    kill gi
   in
   let merges = ref 0 in
   let partitions = ref [] in
-  while !head >= 0 do
-    let oi = !head in
-    unlink oi;
+  (* every cluster below oi is merged or emitted, so oi, unless it was
+     merged, is the first live one; a locked cluster is never merged *)
+  for oi = 0 to nl - 1 do
     let o_locked = clusters.(oi).Cluster.locked in
-    let continue = ref true in
-    while (not o_locked) && !continue && ent_len.(oi) + n_pis.(oi) < p.Params.l_k
-    do
-      let arr, len = candidates () in
-      begin_step oi;
-      let bg = ref 0 and br = ref 0 and bi = ref (-1) in
-      for t = 0 to len - 1 do
-        let gi = arr.(t) in
-        let pis = n_pis.(oi) + n_pis.(gi) in
-        (* past [l_k - pis - bg] the gain falls below the best one,
-           and only equal gains compare [removed], so such a candidate
-           cannot win; [bg] is 0 until a candidate is found *)
-        let u = union oi gi (p.Params.l_k - pis - !bg) in
-        if u >= 0 then begin
-          let gain = p.Params.l_k - (u + pis) in
-          let removed = ent_len.(oi) + ent_len.(gi) - u in
-          if !bi < 0 || gain > !bg || (gain = !bg && removed > !br) then begin
-            bg := gain;
-            br := removed;
-            bi := gi
-          end
+    if o_locked || cand.(oi) then begin
+      kill oi;
+      let continue = ref true in
+      while (not o_locked) && !continue && ent_len.(oi) + n_pis.(oi) < l_k do
+        let gi = pick oi in
+        if gi < 0 then continue := false
+        else begin
+          merge oi gi;
+          incr merges
         end
       done;
-      end_step oi;
-      if !bi < 0 then continue := false
-      else begin
-        merge oi !bi;
-        incr merges
-      end
-    done;
-    let vertices = Array.sub mem.(oi) 0 mem_len.(oi) in
-    Array.sort compare vertices;
-    partitions :=
-      {
-        vertices;
-        input_count = ent_len.(oi) + n_pis.(oi);
-        merged_from = from.(oi);
-        oversize = clusters.(oi).Cluster.oversize;
-        locked = o_locked;
-      }
-      :: !partitions
+      let vertices = Array.sub mem.(oi) 0 mem_len.(oi) in
+      Array.sort compare vertices;
+      partitions :=
+        {
+          vertices;
+          input_count = ent_len.(oi) + n_pis.(oi);
+          merged_from = from.(oi);
+          oversize = clusters.(oi).Cluster.oversize;
+          locked = o_locked;
+        }
+        :: !partitions
+    end
   done;
   finalize g !partitions !merges

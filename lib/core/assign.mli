@@ -28,19 +28,19 @@ val run :
   Ppet_digraph.Netgraph.t ->
   Cluster.t ->
   Params.t ->
-  Ppet_digraph.Prng.t ->
   t
-(** [csr] is a snapshot of [g]: membership is an owner array, scoring
-    sweeps stamped entering-net arrays, with no hashing and no
-    allocation per scored candidate.
-
-    When more than [max_merge_candidates] clusters remain, each greedy
-    step scores a deterministic random sample of that size (plus the
-    smallest clusters, which are the likeliest mergees) instead of the
-    whole list — the quality/speed knob documented in Params. The
-    sample is a partial Fisher-Yates costing only the draws it keeps.
-    The cap is not a corner case: at [l_k = 16] the s5378 profile
-    already forms ~2 000 clusters, s38417 ~15 000. Below the cap the
-    result equals the hashtable formulation the test suite keeps as
-    its oracle. Raises [Invalid_argument] on a size mismatch between
-    [csr] and [g]. *)
+(** [csr] is a snapshot of [g]. Each greedy step merges exactly the
+    cluster a scan of every live cluster would pick (Table 8 read
+    literally; the test suite keeps that scan as its oracle), without
+    visiting every live cluster: only a neighbour of the growing
+    partition [o] — a cluster that sources a net entering [o], reads a
+    net [o] sources, or shares an entering net with [o] — can score
+    other than [iota(o) + iota(c)] with no net removed. Neighbours are
+    scored from two counters gathered off the CSR sink rows; the best
+    of the rest is the lowest-index live cluster of least iota that is
+    not a neighbour, kept in per-iota lists. A step therefore costs
+    the fanout of the nets entering [o] and of [o]'s own nets plus the
+    number of neighbours, whatever the number of live clusters; a net
+    of very large fanout that enters [o] is walked at every step.
+    Raises [Invalid_argument] on a size mismatch between [csr] and
+    [g]. *)

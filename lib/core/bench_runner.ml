@@ -150,7 +150,7 @@ let run ?(progress = fun _ -> ()) plan =
       let clustering = Cluster.make_group ~csr c g sb flow params in
       let assign_entry =
         measure ~jobs:1 "assign" (fun () ->
-            ignore (Assign.run ~csr c g clustering params (Prng.create 1L)))
+            ignore (Assign.run ~csr c g clustering params))
       in
       let r = Merced.run ~params c in
       let retime_entry =

@@ -71,7 +71,7 @@ let run ?(params = Params.default) ?locked circuit =
           m "STEP 3b: %d clusters" (List.length clustering.Cluster.clusters));
       let assignment =
         Obs.span "merced.assign" (fun () ->
-            Assign.run ~csr circuit graph clustering params rng)
+            Assign.run ~csr circuit graph clustering params)
       in
       (flow, clustering, assignment)
     | (Params.Fm | Params.Annealing | Params.Random) as p ->

@@ -24,7 +24,6 @@ type t = {
   l_k : int;
   seed : int64;
   max_iterations : int;
-  max_merge_candidates : int;
   partitioner : partitioner;
 }
 
@@ -38,7 +37,6 @@ let paper =
     l_k = 16;
     seed = 0x4DACL;
     max_iterations = 20_000;
-    max_merge_candidates = 1_500;
     partitioner = Flow;
   }
 
@@ -56,7 +54,6 @@ let validate p =
   else if p.beta < 1 then Error "beta must be at least 1 (Eq. 6)"
   else if p.l_k < 2 || p.l_k > 32 then Error "l_k must be in 2..32"
   else if p.max_iterations < 1 then Error "max_iterations must be positive"
-  else if p.max_merge_candidates < 1 then Error "max_merge_candidates must be positive"
   else Ok ()
 
 (* Every field, in declaration order. Any knob that can change a compile
@@ -65,9 +62,9 @@ let validate p =
    compiles onto one cache entry. *)
 let fingerprint p =
   Printf.sprintf
-    "b=%h;mv=%d;a=%h;d=%h;beta=%d;lk=%d;seed=%Ld;mi=%d;mmc=%d;part=%s"
+    "b=%h;mv=%d;a=%h;d=%h;beta=%d;lk=%d;seed=%Ld;mi=%d;part=%s"
     p.capacity p.min_visit p.alpha p.delta p.beta p.l_k p.seed
-    p.max_iterations p.max_merge_candidates (partitioner_name p.partitioner)
+    p.max_iterations (partitioner_name p.partitioner)
 
 let pp ppf p =
   Format.fprintf ppf

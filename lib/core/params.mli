@@ -32,8 +32,6 @@ type t = {
   l_k : int;              (** input constraint / CBIT length *)
   seed : int64;           (** randomness of the flow injection *)
   max_iterations : int;   (** safety bound on flow-injection rounds *)
-  max_merge_candidates : int;
-      (** Assign_CBIT candidate scan cap per step (quality/speed knob) *)
   partitioner : partitioner;  (** partition engine (default [Flow]) *)
 }
 

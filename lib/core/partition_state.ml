@@ -150,8 +150,6 @@ let move_gain st ~l_k ~lambda v b =
     e0 -. e1
   end
 
-let labels_snapshot st = Array.copy st.label
-
 let to_assign c graph (p : Params.t) st =
   let n = Netgraph.n_nodes graph in
   let members = Hashtbl.create (n_clusters st) in

@@ -35,9 +35,6 @@ val move_gain : t -> l_k:int -> lambda:float -> int -> int -> float
     [cuts + lambda * penalty] if [v] moved to [b] (positive = better).
     Implemented as move/measure/undo, O(degree). *)
 
-val labels_snapshot : t -> int array
-(** Copy of the current labelling. *)
-
 val to_assign :
   Ppet_netlist.Circuit.t -> Ppet_digraph.Netgraph.t -> Params.t -> t ->
   Assign.t

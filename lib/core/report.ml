@@ -13,10 +13,6 @@ let table10_row r =
     b.Area_accounting.cuts_on_scc b.Area_accounting.cuts_total
     r.Merced.cpu_seconds
 
-let table12_header =
-  Printf.sprintf "%-10s | %9s %9s | %9s %9s" "Circuit" "16 w/R" "16 w/o"
-    "24 w/R" "24 w/o"
-
 let table12_row ~l16 ~l24 =
   let b = l16.Merced.breakdown in
   let w24, wo24 =

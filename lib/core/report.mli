@@ -6,8 +6,6 @@ val table10_header : string
 val table10_row : Merced.result -> string
 (** Circuit, DFFs, DFFs on SCC, cut nets on SCC, nets cut, CPU time. *)
 
-val table12_header : string
-
 val table12_row : l16:Merced.result -> l24:Merced.result option -> string
 (** ACBIT/ATotal with/without retiming at l_k = 16 and (optionally) 24;
     the paper prints 0 for circuits whose l_k = 24 run makes no internal

@@ -2,8 +2,8 @@
    (Tables 4-7) and Assign_CBIT (Table 8): the paper's pseudo-code read
    literally, over the Netgraph queries, hashtables and the textbook
    Dijkstra/Heap. They are the differential oracles of the flat stages
-   in Flow, Cluster and Assign, which must reproduce them exactly (for
-   Assign, below the candidate cap). Nothing in the library uses them. *)
+   in Flow, Cluster and Assign, which must reproduce them exactly.
+   Nothing in the library uses them. *)
 
 module Netgraph = Ppet_digraph.Netgraph
 module Dijkstra = Ppet_digraph.Dijkstra
@@ -224,9 +224,9 @@ let make_group ?(locked = fun _ -> false) c g sb (flow : Flow.result)
 
 (* ------------------------------------------------------------------ *)
 (* Assign_CBIT: live clusters as membership and entering-net
-   hashtables, every live cluster rescanned for the maximum iota and
-   every candidate merge scored by building the union's table. Above the
-   candidate cap the whole candidate head is shuffled. *)
+   hashtables, every live cluster rescanned for the maximum iota, and
+   the merge with every live unlocked cluster scored by building the
+   union's table. *)
 
 type live = {
   mutable members : int list;
@@ -299,7 +299,7 @@ let merge_into g a b =
   a.from <- a.from + b.from;
   b.dead <- true
 
-let assign c g (clustering : Cluster.t) (p : Params.t) rng : Assign.t =
+let assign c g (clustering : Cluster.t) (p : Params.t) : Assign.t =
   let live =
     Array.of_list (List.map (live_of_cluster c g) clustering.Cluster.clusters)
   in
@@ -307,25 +307,12 @@ let assign c g (clustering : Cluster.t) (p : Params.t) rng : Assign.t =
   let merges = ref 0 in
   let partitions = ref [] in
   let candidates_for exclude =
-    let cap = p.Params.max_merge_candidates in
-    let alive = ref [] and count = ref 0 in
+    let alive = ref [] in
     for i = n - 1 downto 0 do
       if (not live.(i).dead) && (not live.(i).was_locked) && i <> exclude
-      then begin
-        alive := i :: !alive;
-        incr count
-      end
+      then alive := i :: !alive
     done;
-    if !count <= cap then !alive
-    else begin
-      (* the tail holds the smallest clusters; keep those, sample the
-         rest *)
-      let arr = Array.of_list !alive in
-      let tail = Array.sub arr (Array.length arr - (cap / 2)) (cap / 2) in
-      let head = Array.sub arr 0 (Array.length arr - (cap / 2)) in
-      Prng.shuffle rng head;
-      Array.to_list (Array.append tail (Array.sub head 0 (cap - (cap / 2))))
-    end
+    !alive
   in
   let extract_max () =
     let best = ref (-1) in
@@ -395,10 +382,10 @@ let assign c g (clustering : Cluster.t) (p : Params.t) rng : Assign.t =
   }
 
 (* The three stages chained as Merced.run chains them for the flow
-   partitioner: one PRNG stream, saturation first, assignment after. *)
+   partitioner: saturation, clustering, assignment. *)
 let partition c (p : Params.t) =
   let g = Ppet_netlist.To_graph.partition_view c in
   let rng = Prng.create p.Params.seed in
   let flow = saturate g p rng in
   let clustering = make_group c g (Scc_budget.create c g) flow p in
-  assign c g clustering p rng
+  assign c g clustering p

@@ -19,7 +19,7 @@ let run_pipeline ?(l_k = 3) c =
   let csr = Csr.of_netgraph g in
   let flow = Flow.saturate csr params rng in
   let clustering = Cluster.make_group ~csr c g sb flow params in
-  let a = Assign.run ~csr c g clustering params rng in
+  let a = Assign.run ~csr c g clustering params in
   (g, params, clustering, a)
 
 let test_partitions_cover () =
@@ -78,7 +78,7 @@ let test_merging_never_hurts_cuts () =
   let flow = Flow.saturate csr params rng in
   let clustering = Cluster.make_group ~csr c g sb flow params in
   let before = List.length (Cluster.cut_nets clustering g) in
-  let a = Assign.run ~csr c g clustering params rng in
+  let a = Assign.run ~csr c g clustering params in
   Alcotest.(check bool) "merge helps" true (List.length a.Assign.cut_nets <= before)
 
 let test_paper_example_shape () =
@@ -105,7 +105,7 @@ let prop_valid_partitions =
       let csr = Csr.of_netgraph g in
       let flow = Flow.saturate csr params rng in
       let clustering = Cluster.make_group ~csr c g sb flow params in
-      let a = Assign.run ~csr c g clustering params rng in
+      let a = Assign.run ~csr c g clustering params in
       let seen = Array.make (Netgraph.n_nodes g) 0 in
       List.iter
         (fun p -> Array.iter (fun v -> seen.(v) <- seen.(v) + 1) p.Assign.vertices)
@@ -115,10 +115,17 @@ let prop_valid_partitions =
            (fun p -> p.Assign.oversize || p.Assign.input_count <= l_k)
            a.Assign.partitions)
 
-(* Below the candidate cap the hashed formulation is Assign.run's
-   oracle: same partitions, same cut nets, same merge count. *)
+let same (a : Assign.t) (b : Assign.t) =
+  a.Assign.partition_of = b.Assign.partition_of
+  && a.Assign.cut_nets = b.Assign.cut_nets
+  && a.Assign.merges = b.Assign.merges
+
+(* The hashed formulation, which scores every live cluster at every
+   step, is Assign.run's oracle: same partitions, same cut nets, same
+   merge count. Odd seeds lock a fifth of the vertices into a cluster
+   that is never merged. *)
 let prop_flat_matches_hashed =
-  QCheck.Test.make ~name:"flat assign = hashed assign below the cap" ~count:30
+  QCheck.Test.make ~name:"flat assign = hashed assign" ~count:30
     QCheck.(pair (int_bound 10_000) (int_range 4 12))
     (fun (seed, l_k) ->
       let c =
@@ -130,23 +137,19 @@ let prop_flat_matches_hashed =
       let rng = Prng.create (Int64.of_int seed) in
       let csr = Csr.of_netgraph g in
       let flow = Flow.saturate csr params rng in
-      let clustering =
-        Cluster.make_group ~csr c g (Scc_budget.create c g) flow params
+      let locked =
+        if seed mod 2 = 0 then None else Some (fun v -> v mod 5 = seed mod 5)
       in
-      let hashed = Hashed_oracle.assign c g clustering params (Prng.copy rng) in
-      let flat = Assign.run ~csr c g clustering params (Prng.copy rng) in
-      flat.Assign.partition_of = hashed.Assign.partition_of
-      && flat.Assign.cut_nets = hashed.Assign.cut_nets
-      && flat.Assign.merges = hashed.Assign.merges)
+      let clustering =
+        Cluster.make_group ?locked ~csr c g (Scc_budget.create c g) flow params
+      in
+      same (Hashed_oracle.assign c g clustering params)
+        (Assign.run ~csr c g clustering params))
 
-(* Assign.run above the candidate cap, where the hashed oracle draws
-   its sample differently and is no oracle. Saturation and clustering
-   as in Merced.run at the paper's settings (l_k 16, min_visit 20, at
-   which the values were recorded); the assignment then runs at the default
-   cap and at 8. s5378 forms ~2 000 clusters and s9234.1 ~3 900, so
-   the default cap samples by partial Fisher-Yates (s5378) and from the
-   lazily compacted pool (s9234.1), and cap 8 drives both on each.
-   Expected values were recorded before the scoring rewrite. *)
+(* Saturation and clustering as in Merced.run at the paper's settings
+   (l_k 16, min_visit 20): s5378 forms ~2 000 clusters and s9234.1
+   ~3 900, the sizes at which an assignment that scores a sample of
+   the live clusters stops being exact. *)
 let flat_pipeline =
   let memo = Hashtbl.create 2 in
   fun name ->
@@ -157,37 +160,35 @@ let flat_pipeline =
       let g = To_graph.partition_view c in
       let csr = Csr.of_netgraph g in
       let p = Params.paper in
-      let rng = Prng.create p.Params.seed in
-      let flow = Flow.saturate csr p rng in
+      let flow = Flow.saturate csr p (Prng.create p.Params.seed) in
       let clustering =
         Cluster.make_group ~csr c g (Scc_budget.create c g) flow p
       in
-      let r = (c, g, csr, p, rng, clustering) in
+      let r = (c, g, csr, p, clustering) in
       Hashtbl.replace memo name r;
       r
 
-let assign_flat ?cap name =
-  let c, g, csr, p, rng, clustering = flat_pipeline name in
-  let p =
-    match cap with
-    | None -> p
-    | Some cap -> { p with Params.max_merge_candidates = cap }
-  in
-  Assign.run ~csr c g clustering p (Prng.copy rng)
+let assign_flat name =
+  let c, g, csr, p, clustering = flat_pipeline name in
+  Assign.run ~csr c g clustering p
+
+let test_oracle_large () =
+  List.iter
+    (fun name ->
+      let c, g, _, p, clustering = flat_pipeline name in
+      Alcotest.(check bool) (name ^ ": flat = hashed") true
+        (same (Hashed_oracle.assign c g clustering p) (assign_flat name)))
+    [ "s5378"; "s9234.1" ]
 
 let digest_ints a =
   Digest.to_hex
     (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int a))))
 
-let test_sampled_pins () =
+let test_pins () =
   List.iter
-    (fun (name, cap, partitions, cut_nets, merges, digest) ->
-      let a = assign_flat ?cap name in
-      let what field =
-        Printf.sprintf "%s cap %s: %s" name
-          (match cap with None -> "default" | Some k -> string_of_int k)
-          field
-      in
+    (fun (name, partitions, cut_nets, merges, digest) ->
+      let a = assign_flat name in
+      let what field = Printf.sprintf "%s: %s" name field in
       Alcotest.(check int) (what "partitions") partitions
         (List.length a.Assign.partitions);
       Alcotest.(check int) (what "cut nets") cut_nets (List.length a.Assign.cut_nets);
@@ -195,15 +196,13 @@ let test_sampled_pins () =
       Alcotest.(check string) (what "partition_of digest") digest
         (digest_ints a.Assign.partition_of))
     [
-      ("s5378", None, 56, 693, 1976, "8cfd7ebd4e7687f068d8884ec84737d4");
-      ("s5378", Some 8, 161, 1594, 1871, "da55fe7a566c10c6f9e217e0bdb03d28");
-      ("s9234.1", None, 132, 1643, 3807, "bb90b383a1a836bfb3503b2fe51580b5");
-      ("s9234.1", Some 8, 327, 3144, 3612, "bac096dad8ecb63219fb21d0f5b0bdc5");
+      ("s5378", 52, 650, 1980, "0bcaa15ffb45d56d6532d01ef63d99b7");
+      ("s9234.1", 116, 1466, 3823, "ea7edf2a1c49b4dc2d7056f2775ac87d");
     ]
 
-(* Allocation guard: scoring and sampling allocate nothing per
-   candidate, so what is left per merge is the merged entering-net
-   array and the emitted partitions. *)
+(* Allocation guard: scoring allocates nothing per neighbour, so what
+   is left per merge is the merged entering-net array and the emitted
+   partitions. *)
 let test_flat_allocation () =
   ignore (flat_pipeline "s5378");
   let before = Gc.minor_words () in
@@ -225,8 +224,9 @@ let suite =
     Alcotest.test_case "paper worked example shape" `Quick test_paper_example_shape;
     QCheck_alcotest.to_alcotest prop_valid_partitions;
     QCheck_alcotest.to_alcotest prop_flat_matches_hashed;
-    Alcotest.test_case "sampled candidates pinned (s5378, s9234.1)" `Quick
-      test_sampled_pins;
+    Alcotest.test_case "hashed oracle on s5378, s9234.1" `Quick
+      test_oracle_large;
+    Alcotest.test_case "assignment pinned (s5378, s9234.1)" `Quick test_pins;
     Alcotest.test_case "flat assign allocation (s5378)" `Quick
       test_flat_allocation;
   ]
